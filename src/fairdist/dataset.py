@@ -91,13 +91,6 @@ class LabeledDataset:
     def n_sensitive(self) -> int:
         return self.sensitive.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        top = int(self.labels.max())
-        if self.predictions is not None:
-            top = max(top, int(self.predictions.max()))
-        return max(top, 2)
-
     def values_for(self, source: LabelSource) -> np.ndarray:
         """The label vector selected by `source` (predictions must exist
         when requested)."""

@@ -91,8 +91,12 @@ def minmax_scale(matrix: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, 
         lo = float(matrix[:, j].min())
         hi = float(matrix[:, j].max())
         ranges.append((name, lo, hi))
-        if hi > lo:
+        if hi > lo and math.isfinite(hi - lo):
             scaled[:, j] = (matrix[:, j] - lo) / (hi - lo)
+        elif hi > lo:
+            # the span overflows a double (a column reaching about
+            # +-1e308): halving every term first keeps it finite
+            scaled[:, j] = (matrix[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2)
         else:
             scaled[:, j] = 0.0
             constant.append(name)

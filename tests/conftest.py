@@ -12,7 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from fairdist import GroupPartition, LabeledDataset, LabelSource
+from fairdist import (
+    GroupPartition,
+    LabeledDataset,
+    LabelSource,
+    SynthSpec,
+    sample_l1_unit_vector,
+    synth_dataset,
+)
 
 
 def make_dataset(features, sensitive, labels, predictions=None) -> LabeledDataset:
@@ -115,6 +122,90 @@ def reference_scan(dataset, partition, source, w, m2) -> float:
         )
         worst = max(worst, nearest)
     return worst
+
+
+def full_scan_trial(dataset, partition, source, w, m2) -> float:
+    """One trial by the vectorised full window scan, kept frozen as the
+    reference: project, stable-sort, evaluate every window offset for
+    every anchor, min per anchor, max over anchors. The pruned kernel
+    must reproduce its values bit for bit."""
+    values = dataset.values_for(source).astype(np.float64)
+    projected = w.weights[0] * values + (dataset.features * w.weights[1:]).sum(axis=1)
+    order = np.argsort(projected, kind="stable")
+    in_group1 = np.zeros(dataset.n, dtype=bool)
+    in_group1[partition.group1] = True
+    sorted_in_group1 = in_group1[order]
+    z_sorted = np.column_stack([values[order], dataset.features[order]])
+    pos0 = np.nonzero(~sorted_in_group1)[0]
+    pos1 = np.nonzero(sorted_in_group1)[0]
+    worst = 0.0
+    for anchors, opponents in ((pos0, pos1), (pos1, pos0)):
+        minima = _full_window_minima(z_sorted, anchors, opponents, m2)
+        worst = max(worst, float(minima.max()))
+    return worst
+
+
+def _full_window_minima(z_sorted, anchor_pos, opposite_pos, m2):
+    # one window offset at a time: the anchors with a k-th left (right)
+    # opposite neighbor form a suffix (prefix) slice
+    n_opp = len(opposite_pos)
+    za = z_sorted[anchor_pos]
+    z_opp = z_sorted[opposite_pos]
+    n_left = np.searchsorted(opposite_pos, anchor_pos)
+    best = np.full(len(anchor_pos), np.inf)
+    for k in range(1, m2 + 1):
+        start = int(np.searchsorted(n_left, k))
+        if start < len(anchor_pos):
+            diff = za[start:] - z_opp[n_left[start:] - k]
+            np.minimum(best[start:], np.einsum("ij,ij->i", diff, diff), out=best[start:])
+        stop = int(np.searchsorted(n_left, n_opp - k, side="right"))
+        if stop > 0:
+            diff = za[:stop] - z_opp[n_left[:stop] + (k - 1)]
+            np.minimum(best[:stop], np.einsum("ij,ij->i", diff, diff), out=best[:stop])
+    return np.sqrt(best)
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The documented per-trial stream: trial j of master seed s draws
+    from SeedSequence(s, spawn_key=(j,))."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
+
+
+def full_scan_approx(dataset, partition, source, m1, m2, seed) -> float:
+    """approx_set_distance by the frozen full scan: the minimum over m1
+    trials of the documented seed stream."""
+    return min(
+        full_scan_trial(
+            dataset,
+            partition,
+            source,
+            sample_l1_unit_vector(1 + dataset.n_features, trial_rng(seed, trial)),
+            m2,
+        )
+        for trial in range(m1)
+    )
+
+
+def sweep_datasets(count=200, n_lo=10, n_hi=300, seed=20240601):
+    """Random small datasets with nonempty groups and predictions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(n_lo, n_hi + 1))
+        n_x = int(rng.integers(1, 9))
+        fraction = float(rng.uniform(0.1, 0.9))
+        if not 1 <= round(n * fraction) <= n - 1:
+            continue
+        spec = SynthSpec(
+            n=n,
+            n_x=n_x,
+            group_fraction=fraction,
+            cluster_separation=float(rng.choice([0.0, 0.2, 0.4])),
+            seed=int(rng.integers(0, 2**31)),
+            with_predictions=True,
+        )
+        out.append(synth_dataset(spec))
+    return out
 
 
 def random_grouped_dataset(rng, n_lo=6, n_hi=40, nx_hi=4, with_predictions=True):

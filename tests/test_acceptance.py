@@ -36,7 +36,7 @@ from fairdist import (
 from fairdist.io import DatasetSchema
 from fairdist.approx import _trial_rng
 
-from conftest import TRUE, two_group_dataset
+from conftest import TRUE, sweep_datasets, two_group_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -52,28 +52,6 @@ def criterion(number, description, budget_s):
     elapsed = time.monotonic() - start
     assert elapsed < budget_s, f"criterion {number} took {elapsed:.1f}s, budget {budget_s}s"
     print(f"PASS criterion {number}: {description} ({elapsed:.1f}s)")
-
-
-def sweep_datasets(count=200, n_lo=10, n_hi=300, seed=20240601):
-    """Random small datasets with nonempty groups and predictions."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    while len(out) < count:
-        n = int(rng.integers(n_lo, n_hi + 1))
-        n_x = int(rng.integers(1, 9))
-        fraction = float(rng.uniform(0.1, 0.9))
-        if not 1 <= round(n * fraction) <= n - 1:
-            continue
-        spec = SynthSpec(
-            n=n,
-            n_x=n_x,
-            group_fraction=fraction,
-            cluster_separation=float(rng.choice([0.0, 0.2, 0.4])),
-            seed=int(rng.integers(0, 2**31)),
-            with_predictions=True,
-        )
-        out.append(synth_dataset(spec))
-    return out
 
 
 def test_criterion_1_overestimation():

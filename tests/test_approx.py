@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdist import (
     ApproxParams,
@@ -16,15 +20,20 @@ from fairdist import (
     projection_scan_distance,
     sample_l1_unit_vector,
 )
+from fairdist import approx as approx_module
 from fairdist.approx import _trial_rng
 
 from conftest import (
     PRED,
     TRUE,
+    full_scan_approx,
+    full_scan_trial,
     make_dataset,
     naive_point_distance,
     random_grouped_dataset,
     reference_scan,
+    sweep_datasets,
+    trial_rng,
     two_group_dataset,
 )
 
@@ -184,6 +193,95 @@ class TestApproxSetDistance:
         part = partition_by_attribute(ds, 0)
         with pytest.raises(EmptyGroup):
             approx_set_distance(ds, part, TRUE)
+
+
+@st.composite
+def scan_cases(draw):
+    """A small dataset with two nonempty groups plus scan parameters.
+
+    Features are rounded to one decimal half the time, so tied
+    projections and duplicate rows occur; either group may be a
+    singleton; m2 is either small or reaches past the larger group."""
+    n = draw(st.integers(2, 40))
+    nx = draw(st.integers(1, 4))
+    n1 = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    sensitive = np.zeros(n, dtype=int)
+    sensitive[rng.permutation(n)[:n1]] = 1
+    features = rng.uniform(0.0, 1.0, size=(n, nx))
+    if draw(st.booleans()):
+        features = np.round(features, 1)
+    labels = rng.integers(1, 4, size=n)
+    predictions = rng.integers(1, 4, size=n)
+    dataset = make_dataset(features, sensitive, labels, predictions)
+    partition = partition_by_attribute(dataset, 0)
+    m2 = draw(st.one_of(st.integers(1, 4), st.integers(max(partition.sizes), n + 2)))
+    source = draw(st.sampled_from([TRUE, PRED]))
+    return dataset, partition, source, m2
+
+
+# derandomized: the examples are the same on every run
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# pair budget per chunk: small inputs fit one default chunk, so the
+# smaller budgets make them reach the chunked completion and the early
+# abandon between chunks (a budget of 1 finishes one anchor per chunk)
+CHUNKING = st.sampled_from([1 << 15, 8, 1])
+
+
+def chunked(pairs):
+    return mock.patch.object(approx_module, "CHUNK_PAIRS", pairs)
+
+
+class TestPrunedScanMatchesFullScan:
+    """The prefix bound, best-first completion and early abandon must not
+    change a single bit against the frozen full window scan."""
+
+    @PROPERTY
+    @given(scan_cases(), st.integers(1, 30), st.integers(0, 2**32 - 1), CHUNKING)
+    def test_approx_hex_equal(self, case, m1, seed, chunking):
+        dataset, partition, source, m2 = case
+        with chunked(chunking):
+            got = approx_set_distance(dataset, partition, source, ApproxParams(m1, m2, seed))
+        want = full_scan_approx(dataset, partition, source, m1, m2, seed)
+        assert got.value.hex() == want.hex()
+
+    @PROPERTY
+    @given(scan_cases(), st.integers(0, 2**32 - 1), CHUNKING, st.integers(0, 4))
+    def test_trials_hex_equal(self, case, seed, chunking, axis):
+        dataset, partition, source, m2 = case
+        # an axis direction ties every pair of rows equal on that axis,
+        # so the tie order of the sort matters
+        dim = 1 + dataset.n_features
+        directions = [ProjectionVector(np.eye(dim)[axis % dim])]
+        directions += [sample_l1_unit_vector(dim, trial_rng(seed, trial)) for trial in range(4)]
+        for w in directions:
+            with chunked(chunking):
+                got = projection_scan_distance(dataset, partition, source, w, m2)
+            assert got.hex() == full_scan_trial(dataset, partition, source, w, m2).hex()
+
+    def test_criterion_1_grid_hex_equal(self):
+        for i, ds in enumerate(sweep_datasets()):
+            part = partition_by_attribute(ds, 0)
+            source = TRUE if i % 2 else PRED
+            for m1 in (1, 5, 25):
+                for m2 in (1, 3, default_m2(ds.n)):
+                    seed = 7 * i + m1
+                    got = approx_set_distance(ds, part, source, ApproxParams(m1, m2, seed))
+                    want = full_scan_approx(ds, part, source, m1, m2, seed)
+                    assert got.value.hex() == want.hex(), (i, m1, m2)
+
+    def test_criterion_2_grid_hex_equal(self):
+        datasets = sweep_datasets()
+        seeds = np.random.Generator(np.random.PCG64(5)).integers(0, 2**31, size=len(datasets))
+        for i, ds in enumerate(datasets):
+            part = partition_by_attribute(ds, 0)
+            source = TRUE if i % 2 else PRED
+            m2 = max(part.sizes)
+            for j in range(20):
+                w = sample_l1_unit_vector(1 + ds.n_features, trial_rng(int(seeds[i]), j))
+                got = projection_scan_distance(ds, part, source, w, m2)
+                assert got.hex() == full_scan_trial(ds, part, source, w, m2).hex(), (i, j)
 
 
 class TestDefaultM2:

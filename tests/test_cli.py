@@ -62,6 +62,15 @@ class TestDist:
         assert code == 3
         assert "nonempty" in err
 
+    def test_column_spanning_double_range(self, capsys, tmp_path):
+        # min-max scaling maps x to 0, 0.5, 1, 0.5; groups {0, 0.5} and
+        # {1, 0.5} with equal labels are 0.5 apart
+        path = tmp_path / "huge.csv"
+        path.write_text("x,sex,y\n-1.5e308,Female,1\n0,Female,1\n1.5e308,Male,1\n0,Male,1\n")
+        code, out, err = run(capsys, ["dist", "--input", str(path), *SCHEMA6])
+        assert code == 0, err
+        assert json.loads(out)["value"] == 0.5
+
     def test_prediction_label_source(self, capsys):
         argv = ["dist", "--input", DIST6, *SCHEMA6, "--prediction", "yhat",
                 "--label-source", "predictions"]

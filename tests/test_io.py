@@ -47,6 +47,20 @@ class TestMinMaxScale:
         assert scaled[:, 0].tolist() == [0.0, 0.0, 0.0]
         assert report.constant_columns == ("a",)
 
+    def test_ordinary_column_keeps_plain_formula_bits(self, rng):
+        raw = rng.normal(size=(50, 2)) * 1e3
+        scaled, _ = minmax_scale(raw, ["a", "b"])
+        lo, hi = raw.min(axis=0), raw.max(axis=0)
+        assert np.array_equal(scaled, (raw - lo) / (hi - lo))
+
+    def test_span_beyond_double_range(self):
+        # hi - lo overflows to inf here; the scaled column must stay finite
+        top = np.finfo(np.float64).max
+        scaled, report = minmax_scale(np.array([[-top], [0.0], [top], [1e308]]), ["a"])
+        assert scaled[:3, 0].tolist() == [0.0, 0.5, 1.0]
+        assert 0.0 <= scaled[3, 0] <= 1.0
+        assert report.feature_ranges == (("a", -top, top),)
+
     def test_idempotent(self, rng):
         raw = rng.normal(size=(20, 3)) * 10
         once, _ = minmax_scale(raw, ["a", "b", "c"])
