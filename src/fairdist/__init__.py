@@ -16,7 +16,6 @@ from .approx import (
     approx_set_distance,
     default_m2,
     derived_seed,
-    project,
     projection_scan_distance,
     sample_l1_unit_vector,
 )
@@ -33,10 +32,8 @@ from .dataset import (
     GroupPartition,
     LabeledDataset,
     LabelSource,
-    flip_binary_attribute,
     joint_partition,
     partition_by_attribute,
-    partition_one_vs_rest,
 )
 from .errors import (
     ComputationError,
@@ -54,7 +51,7 @@ from .errors import (
     UndefinedRate,
     UnsupportedAttributeArity,
 )
-from .exact import DistanceResult, directed_max_min, exact_set_distance, point_distance
+from .exact import DistanceResult, directed_max_min, exact_set_distance
 from .io import (
     DatasetSchema,
     ScalingReport,
@@ -70,11 +67,9 @@ from .measures import (
     compute_group_rates,
     demographic_parity,
     discriminative_risk,
-    discriminative_risk_of_model,
     equal_opportunity,
     hfm,
-    hfm_approx,
-    hfm_exact,
+    hfm_distances,
     predictive_quality_parity,
 )
 from .theory import (
@@ -127,25 +122,19 @@ __all__ = [
     "derived_seed",
     "directed_max_min",
     "discriminative_risk",
-    "discriminative_risk_of_model",
     "equal_opportunity",
     "estimate_scaled_density",
     "exact_set_distance",
     "failure_exponent",
-    "flip_binary_attribute",
     "hfm",
-    "hfm_approx",
-    "hfm_exact",
+    "hfm_distances",
     "joint_partition",
     "load_csv",
     "minmax_scale",
     "monte_carlo_projection_probability",
     "partition_by_attribute",
-    "partition_one_vs_rest",
     "pearson",
-    "point_distance",
     "predictive_quality_parity",
-    "project",
     "projection_dominance_bounds",
     "projection_scan_distance",
     "read_int_column",

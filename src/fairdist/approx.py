@@ -148,14 +148,6 @@ def sample_l1_unit_vector(dim: int, rng: np.random.Generator) -> ProjectionVecto
             return ProjectionVector(raw / norm)
 
 
-def project(features: np.ndarray, value: float, w: ProjectionVector) -> float:
-    """Inner product of [value, features...] with the direction."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1 or len(features) + 1 != w.dim:
-        raise DimensionError("feature vector length must be projection dim - 1")
-    return float(w.weights[0] * value + (w.weights[1:] * features).sum())
-
-
 def _project_all(
     features: np.ndarray, values: np.ndarray, w: ProjectionVector, work: np.ndarray
 ) -> np.ndarray:

@@ -130,10 +130,9 @@ def relative_difference(approx: float, exact: float) -> float:
 
 
 def run_comparison(
-    datasets: Sequence[tuple[str, LabeledDataset]],
-    params_grid: Sequence[ApproxParams],
+    datasets: Sequence[tuple[str, LabeledDataset]], params: ApproxParams
 ) -> list[ComparisonRow]:
-    """Exact vs approx over every (dataset, params, label source) cell.
+    """Exact vs approx over every (dataset, label source) cell.
 
     Uses each dataset's first sensitive attribute for the partition. Rows
     that fail (degenerate groups and the like) are marked failed rather
@@ -144,9 +143,8 @@ def run_comparison(
         sources = [LabelSource.TRUE_LABELS]
         if dataset.predictions is not None:
             sources.append(LabelSource.PREDICTIONS)
-        for params in params_grid:
-            for source in sources:
-                rows.append(_one_row(dataset_id, dataset, params, source))
+        for source in sources:
+            rows.append(_one_row(dataset_id, dataset, params, source))
     return rows
 
 

@@ -31,11 +31,11 @@ from .measures import (
     discriminative_risk,
     equal_opportunity,
     hfm,
+    hfm_distances,
     predictive_quality_parity,
 )
 from .theory import (
     approximation_success_bound,
-    failure_exponent,
     monte_carlo_projection_probability,
     projection_dominance_bounds,
     suggest_m2,
@@ -107,23 +107,7 @@ def cmd_hfm(args) -> int:
         raise SchemaMismatch("hfm requires --prediction")
     dataset, _ = load_csv(args.input, schema)
     partition = _partition_from_args(args, schema, dataset)
-    if args.method == "exact":
-        d = exact_set_distance(dataset, partition, LabelSource.TRUE_LABELS)
-        d_f = exact_set_distance(dataset, partition, LabelSource.PREDICTIONS)
-    else:
-        params = _approx_params(args)
-        d = approx_set_distance(
-            dataset,
-            partition,
-            LabelSource.TRUE_LABELS,
-            ApproxParams(params.m1, params.m2, derived_seed(params.seed, "D")),
-        )
-        d_f = approx_set_distance(
-            dataset,
-            partition,
-            LabelSource.PREDICTIONS,
-            ApproxParams(params.m1, params.m2, derived_seed(params.seed, "Df")),
-        )
+    d, d_f = hfm_distances(dataset, partition, args.method, _approx_params(args))
     value = hfm(d_f.value, d.value)
     record = {
         "d": d.value,
@@ -132,7 +116,7 @@ def cmd_hfm(args) -> int:
         "method": args.method,
         "m1": d.m1,
         "m2": d.m2,
-        "seed": args.seed if args.method == "approx" else None,
+        "seed": None if d.seed is None else args.seed,
     }
     if args.alpha is not None:
         error_rate = float((dataset.predictions != dataset.labels).mean())
@@ -187,8 +171,7 @@ def cmd_bench(args) -> int:
                 with_predictions=args.with_predictions,
             )
             datasets.append((f"synth-{i:03d}", synth_dataset(spec)))
-    params = [_approx_params(args)]
-    rows = run_comparison(datasets, params)
+    rows = run_comparison(datasets, _approx_params(args))
     _emit(args, [row.to_record(include_timing=args.timings) for row in rows])
     summary = summarize(rows)
     sys.stdout.write(render_report(summary, "json"))
@@ -207,8 +190,40 @@ def _theory_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.nda
 
 def cmd_verify_theory(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+    # both record kinds share one header (the CSV report has a single
+    # one); a field a kind does not have stays None
+    fields = (
+        "kind",
+        "dim",
+        "r1",
+        "r2",
+        "phi",
+        "lower",
+        "exact",
+        "upper",
+        "mc_estimate",
+        "mc_stderr",
+        "sandwich_ok",
+        "mc_ok",
+        "n",
+        "k",
+        "mu",
+        "alpha",
+        "m1",
+        "m2",
+        "prob_main",
+        "prob_appendix",
+        "failure_exponent",
+    )
     rows = []
     failures = 0
+
+    def add_row(kind, bound, **extra):
+        # fields named like an attribute of the bound take its value
+        row = dict.fromkeys(fields)
+        row.update((key, getattr(bound, key)) for key in fields if hasattr(bound, key))
+        row.update(kind=kind, **extra)
+        rows.append(row)
 
     def check_pair(v1, v2, tag):
         nonlocal failures
@@ -220,30 +235,14 @@ def cmd_verify_theory(args) -> int:
         mc_ok = abs(estimate - bound.exact) <= 4.0 * max(stderr, 1e-12)
         if not (sandwich_ok and mc_ok):
             failures += 1
-        rows.append(
-            {
-                "kind": "projection_check",
-                "dim": len(v1),
-                "r1": bound.r1,
-                "r2": bound.r2,
-                "phi": bound.phi,
-                "lower": bound.lower,
-                "exact": bound.exact,
-                "upper": bound.upper,
-                "mc_estimate": estimate,
-                "mc_stderr": stderr,
-                "sandwich_ok": sandwich_ok,
-                "mc_ok": mc_ok,
-                "n": None,
-                "k": None,
-                "mu": None,
-                "alpha": None,
-                "m1": None,
-                "m2": None,
-                "prob_main": None,
-                "prob_appendix": None,
-                "failure_exponent": None,
-            }
+        add_row(
+            "projection_check",
+            bound,
+            dim=len(v1),
+            mc_estimate=estimate,
+            mc_stderr=stderr,
+            sandwich_ok=sandwich_ok,
+            mc_ok=mc_ok,
         )
 
     # equal-length right-angle pair must sit exactly at probability 1/2
@@ -259,31 +258,7 @@ def cmd_verify_theory(args) -> int:
                 n_i, k_i, alpha_f = int(n), int(k), float(alpha)
                 m2 = suggest_m2(n_i, k_i, args.m1, args.target_lambda)
                 bound = approximation_success_bound(n_i, k_i, args.mu, alpha_f, args.m1, m2)
-                rows.append(
-                    {
-                        "kind": "success_bound",
-                        "dim": None,
-                        "r1": None,
-                        "r2": None,
-                        "phi": None,
-                        "lower": None,
-                        "exact": None,
-                        "upper": None,
-                        "mc_estimate": None,
-                        "mc_stderr": None,
-                        "sandwich_ok": None,
-                        "mc_ok": None,
-                        "n": n_i,
-                        "k": k_i,
-                        "mu": args.mu,
-                        "alpha": alpha_f,
-                        "m1": args.m1,
-                        "m2": m2,
-                        "prob_main": bound.prob_main,
-                        "prob_appendix": bound.prob_appendix,
-                        "failure_exponent": failure_exponent(n_i, k_i, args.m1, m2),
-                    }
-                )
+                add_row("success_bound", bound)
 
     _emit(args, rows)
     checks = sum(1 for row in rows if row["kind"] == "projection_check")

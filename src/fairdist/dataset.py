@@ -100,9 +100,6 @@ class LabeledDataset:
             raise MissingPredictions("dataset has no prediction column")
         return self.predictions
 
-    def with_predictions(self, predictions: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features, self.sensitive, self.labels, predictions)
-
 
 @dataclass(frozen=True)
 class GroupPartition:
@@ -142,10 +139,7 @@ def _require_binary(dataset: LabeledDataset, attr_index: int) -> np.ndarray:
         )
     column = dataset.sensitive[:, attr_index]
     if not np.isin(column, (0, 1)).all():
-        raise UnsupportedAttributeArity(
-            f"sensitive column {attr_index} is not binary; "
-            "use partition_one_vs_rest for multi-valued attributes"
-        )
+        raise UnsupportedAttributeArity(f"sensitive column {attr_index} is not binary")
     return column
 
 
@@ -175,31 +169,3 @@ def joint_partition(dataset: LabeledDataset, attr_indices: list[int]) -> GroupPa
         group1=np.nonzero(privileged)[0],
         n=dataset.n,
     )
-
-
-def partition_one_vs_rest(
-    dataset: LabeledDataset, attr_index: int, privileged_value: int
-) -> GroupPartition:
-    """Experimental extension for multi-valued sensitive attributes: rows
-    equal to `privileged_value` form group1, all other values group0.
-    """
-    if not 0 <= attr_index < dataset.n_sensitive:
-        raise InvalidArgument(
-            f"attribute index {attr_index} out of range [0, {dataset.n_sensitive})"
-        )
-    column = dataset.sensitive[:, attr_index]
-    return GroupPartition(
-        attr_indices=(attr_index,),
-        group0=np.nonzero(column != privileged_value)[0],
-        group1=np.nonzero(column == privileged_value)[0],
-        n=dataset.n,
-    )
-
-
-def flip_binary_attribute(dataset: LabeledDataset, attr_index: int) -> LabeledDataset:
-    """A copy of the dataset with one binary sensitive column inverted
-    (0 and 1 swapped); every other column is untouched."""
-    _require_binary(dataset, attr_index)
-    flipped = np.array(dataset.sensitive, copy=True)
-    flipped[:, attr_index] = 1 - flipped[:, attr_index]
-    return LabeledDataset(dataset.features, flipped, dataset.labels, dataset.predictions)

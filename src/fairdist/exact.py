@@ -19,10 +19,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import GroupPartition, LabeledDataset, LabelSource
-from .errors import DimensionError, EmptyGroup, InvalidArgument
+from .errors import EmptyGroup, InvalidArgument
 
 _BLOCK = 1024
 
@@ -66,24 +65,6 @@ class DistanceResult:
         return record
 
 
-def point_distance(
-    features_a: np.ndarray, label_a: float, features_b: np.ndarray, label_b: float
-) -> float:
-    """Euclidean distance between two (features, label) points."""
-    features_a = np.asarray(features_a, dtype=np.float64)
-    features_b = np.asarray(features_b, dtype=np.float64)
-    if features_a.shape != features_b.shape or features_a.ndim != 1:
-        raise DimensionError("feature vectors must be 1-D and of equal length")
-    if not (
-        np.isfinite(features_a).all()
-        and np.isfinite(features_b).all()
-        and np.isfinite([label_a, label_b]).all()
-    ):
-        raise InvalidArgument("point coordinates must be finite")
-    diff = features_a - features_b
-    return float(np.sqrt((label_a - label_b) ** 2 + (diff * diff).sum()))
-
-
 def augmented_points(features: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Rows of [value, features...], the coordinates the metric acts on."""
     out = np.empty((features.shape[0], features.shape[1] + 1), dtype=np.float64)
@@ -92,8 +73,23 @@ def augmented_points(features: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stream_pair_minima(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-point nearest-opposite distances for both sides, blockwise.
+def _cdist():
+    # imported on first use: scipy.spatial dominates the package's import
+    # time, and only the exact route needs it
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
+def _pair_minima(
+    dataset: LabeledDataset, indices_a: np.ndarray, indices_b: np.ndarray, source: LabelSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row nearest-opposite distances for both index sets, with the
+    label slot chosen by `source`, streamed block by block."""
+    cdist = _cdist()
+    values = dataset.values_for(source).astype(np.float64)
+    za = augmented_points(dataset.features[indices_a], values[indices_a])
+    zb = augmented_points(dataset.features[indices_b], values[indices_b])
     min_a = np.full(len(za), np.inf)
     min_b = np.full(len(zb), np.inf)
     for i in range(0, len(za), _BLOCK):
@@ -118,10 +114,7 @@ def directed_max_min(
     to_indices = np.asarray(to_indices, dtype=np.int64)
     if len(from_indices) == 0 or len(to_indices) == 0:
         raise EmptyGroup("directed distance needs two nonempty index sets")
-    values = dataset.values_for(source).astype(np.float64)
-    za = augmented_points(dataset.features[from_indices], values[from_indices])
-    zb = augmented_points(dataset.features[to_indices], values[to_indices])
-    min_a, _ = _stream_pair_minima(za, zb)
+    min_a, _ = _pair_minima(dataset, from_indices, to_indices, source)
     return float(min_a.max())
 
 
@@ -135,11 +128,9 @@ def exact_set_distance(
     """
     if partition.has_empty_group:
         raise EmptyGroup("both groups must be nonempty to compute a distance")
+    _cdist()  # a first import stays out of elapsed_ns
     start = time.perf_counter_ns()
-    values = dataset.values_for(source).astype(np.float64)
-    z0 = augmented_points(dataset.features[partition.group0], values[partition.group0])
-    z1 = augmented_points(dataset.features[partition.group1], values[partition.group1])
-    min0, min1 = _stream_pair_minima(z0, z1)
+    min0, min1 = _pair_minima(dataset, partition.group0, partition.group1, source)
     value = float(max(min0.max(), min1.max()))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(

@@ -72,14 +72,6 @@ class ScalingReport:
     feature_ranges: tuple[tuple[str, float, float], ...]
     constant_columns: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_record(self) -> dict:
-        return {
-            "feature_ranges": [
-                {"column": name, "min": lo, "max": hi} for name, lo, hi in self.feature_ranges
-            ],
-            "constant_columns": list(self.constant_columns),
-        }
-
 
 def minmax_scale(matrix: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, ScalingReport]:
     """Column-wise (x - min) / (max - min); constant columns become 0."""

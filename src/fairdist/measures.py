@@ -18,17 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .approx import ApproxParams, approx_set_distance, derived_seed
-from .dataset import (
-    GroupPartition,
-    LabeledDataset,
-    LabelSource,
-    flip_binary_attribute,
-)
+from .dataset import GroupPartition, LabeledDataset, LabelSource
 from .errors import (
     DimensionError,
     EmptyGroup,
@@ -36,7 +29,7 @@ from .errors import (
     MissingPredictions,
     UndefinedRate,
 )
-from .exact import exact_set_distance
+from .exact import DistanceResult, exact_set_distance
 
 # Finite float, or math.inf for the degenerate positive case.
 FairnessValue = float
@@ -55,37 +48,42 @@ def hfm(d_f: float, d: float) -> FairnessValue:
     return 0.0 if d_f == 0 else math.inf
 
 
-def hfm_exact(dataset: LabeledDataset, partition: GroupPartition) -> FairnessValue:
-    """HFM with both distances computed exactly."""
+def hfm_distances(
+    dataset: LabeledDataset,
+    partition: GroupPartition,
+    method: str = "exact",
+    params: ApproxParams | None = None,
+) -> tuple[DistanceResult, DistanceResult]:
+    """The two distances the HFM compares, (d, d_f): from the true labels
+    and from the predictions, both by `method` ("exact" or "approx").
+
+    The approx runs draw their projection directions from independent
+    streams, derived from the master seed of `params` with the tags "D"
+    and "Df"; exact ignores `params`.
+    """
     if dataset.predictions is None:
         raise MissingPredictions("HFM needs a prediction column")
-    d = exact_set_distance(dataset, partition, LabelSource.TRUE_LABELS).value
-    d_f = exact_set_distance(dataset, partition, LabelSource.PREDICTIONS).value
-    return hfm(d_f, d)
-
-
-def hfm_approx(
-    dataset: LabeledDataset, partition: GroupPartition, params: ApproxParams | None = None
-) -> FairnessValue:
-    """HFM with both distances approximated; the two runs draw their
-    projection directions from independent streams derived from the one
-    master seed."""
-    if dataset.predictions is None:
-        raise MissingPredictions("HFM needs a prediction column")
+    if method == "exact":
+        return (
+            exact_set_distance(dataset, partition, LabelSource.TRUE_LABELS),
+            exact_set_distance(dataset, partition, LabelSource.PREDICTIONS),
+        )
+    if method != "approx":
+        raise InvalidArgument(f"unknown distance method {method!r}")
     params = params or ApproxParams()
     d = approx_set_distance(
         dataset,
         partition,
         LabelSource.TRUE_LABELS,
         ApproxParams(params.m1, params.m2, derived_seed(params.seed, "D")),
-    ).value
+    )
     d_f = approx_set_distance(
         dataset,
         partition,
         LabelSource.PREDICTIONS,
         ApproxParams(params.m1, params.m2, derived_seed(params.seed, "Df")),
-    ).value
-    return hfm(d_f, d)
+    )
+    return d, d_f
 
 
 @dataclass(frozen=True)
@@ -167,14 +165,3 @@ def discriminative_risk(
         raise InvalidArgument("prediction vectors must be nonempty")
     return float((predictions_raw != predictions_flipped).mean())
 
-
-def discriminative_risk_of_model(
-    predict: Callable[[LabeledDataset], np.ndarray],
-    dataset: LabeledDataset,
-    attr_index: int,
-) -> float:
-    """Discriminative risk of a live model: predict on the dataset as-is
-    and with one sensitive column flipped, then compare."""
-    raw = predict(dataset)
-    flipped = predict(flip_binary_attribute(dataset, attr_index))
-    return discriminative_risk(raw, flipped)

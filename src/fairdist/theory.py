@@ -60,21 +60,6 @@ class SuccessBound:
     prob_appendix_raw: float
     failure_exponent: float
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "m1": self.m1,
-            "m2": self.m2,
-            "prob_main": self.prob_main,
-            "prob_appendix": self.prob_appendix,
-            "prob_main_raw": self.prob_main_raw,
-            "prob_appendix_raw": self.prob_appendix_raw,
-            "failure_exponent": self.failure_exponent,
-        }
-
 
 def _check_pair(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     v1 = np.asarray(v1, dtype=np.float64)
@@ -232,14 +217,21 @@ def estimate_scaled_density(
         raise InvalidArgument("d must be positive")
     if radii is None:
         radii = d * np.geomspace(0.25, 4.0, 9)
-    dim = points.shape[1]
-    diff = points[:, None, :] - points[None, :, :]
-    pairwise = np.sqrt((diff * diff).sum(axis=2))
+    radii = np.asarray(radii, dtype=np.float64)
+    if (radii <= 0.0).any():
+        raise InvalidArgument("radii must be positive")
+    n, dim = points.shape
+    # neighbour counts per radius, one block of rows at a time: the pair
+    # differences of a block hold at most about 2^20 floats
+    counts = np.empty((len(radii), n), dtype=np.int64)
+    rows = max(1, (1 << 20) // (n * max(dim, 1)))
+    for i in range(0, n, rows):
+        diff = points[i : i + rows, None, :] - points[None, :, :]
+        pairwise = np.sqrt((diff * diff).sum(axis=2))
+        for j, r in enumerate(radii):
+            counts[j, i : i + rows] = (pairwise <= r).sum(axis=1)
     best = 0.0
-    for r in np.asarray(radii, dtype=np.float64):
-        if r <= 0.0:
-            raise InvalidArgument("radii must be positive")
-        counts = (pairwise <= r).sum(axis=1)
-        density = counts.min() / _unit_ball_volume(dim) / r**dim
+    for r, count in zip(radii, counts):
+        density = count.min() / _unit_ball_volume(dim) / r**dim
         best = max(best, float(density))
     return best * _unit_ball_volume(dim) * d**dim

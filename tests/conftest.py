@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from fairdist import (
+    DimensionError,
     GroupPartition,
     LabeledDataset,
     LabelSource,
+    ProjectionVector,
     SynthSpec,
     sample_l1_unit_vector,
     synth_dataset,
@@ -56,6 +58,14 @@ def naive_point_distance(xa, ya, xb, yb, counter=None) -> float:
     for a, b in zip(xa, xb):
         total += (a - b) ** 2
     return math.sqrt(total)
+
+
+def project(features: np.ndarray, value: float, w: ProjectionVector) -> float:
+    """Inner product of one point [value, features...] with the direction."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 1 or len(features) + 1 != w.dim:
+        raise DimensionError("feature vector length must be projection dim - 1")
+    return float(w.weights[0] * value + (w.weights[1:] * features).sum())
 
 
 def naive_directed(points_from, values_from, points_to, values_to, counter=None) -> float:
@@ -163,6 +173,25 @@ def _full_window_minima(z_sorted, anchor_pos, opposite_pos, m2):
             diff = za[:stop] - z_opp[n_left[:stop] + (k - 1)]
             np.minimum(best[:stop], np.einsum("ij,ij->i", diff, diff), out=best[:stop])
     return np.sqrt(best)
+
+
+def dense_scaled_density(points, d, radii=None) -> float:
+    """estimate_scaled_density by the original dense formula, kept frozen
+    as the reference: one n x n x dim difference tensor, then neighbour
+    counts per radius. The blockwise version must match it exactly."""
+    points = np.asarray(points, dtype=np.float64)
+    if radii is None:
+        radii = d * np.geomspace(0.25, 4.0, 9)
+    dim = points.shape[1]
+    diff = points[:, None, :] - points[None, :, :]
+    pairwise = np.sqrt((diff * diff).sum(axis=2))
+    volume = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    best = 0.0
+    for r in np.asarray(radii, dtype=np.float64):
+        counts = (pairwise <= r).sum(axis=1)
+        density = counts.min() / volume / r**dim
+        best = max(best, float(density))
+    return best * volume * d**dim
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -9,14 +9,16 @@ from fairdist import (
     ApproxParams,
     DimensionError,
     EmptyGroup,
+    GroupPartition,
     InvalidArgument,
+    LabeledDataset,
     ProjectionVector,
     approx_set_distance,
     default_m2,
+    derived_seed,
     exact_set_distance,
+    hfm_distances,
     partition_by_attribute,
-    point_distance,
-    project,
     projection_scan_distance,
     sample_l1_unit_vector,
 )
@@ -30,6 +32,7 @@ from conftest import (
     full_scan_trial,
     make_dataset,
     naive_point_distance,
+    project,
     random_grouped_dataset,
     reference_scan,
     sweep_datasets,
@@ -83,7 +86,7 @@ class TestProject:
             xa, xb = rng.uniform(size=dim), rng.uniform(size=dim)
             ya, yb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             gap = abs(project(xa, ya, w) - project(xb, yb, w))
-            assert gap <= point_distance(xa, ya, xb, yb) + 1e-12
+            assert gap <= naive_point_distance(xa, ya, xb, yb) + 1e-12
 
     def test_dimension_mismatch(self):
         w = ProjectionVector(np.array([0.5, 0.5]))
@@ -282,6 +285,55 @@ class TestPrunedScanMatchesFullScan:
                 w = sample_l1_unit_vector(1 + ds.n_features, trial_rng(int(seeds[i]), j))
                 got = projection_scan_distance(ds, part, source, w, m2)
                 assert got.hex() == full_scan_trial(ds, part, source, w, m2).hex(), (i, j)
+
+
+class TestDistanceProperties:
+    @PROPERTY
+    @given(scan_cases(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_approx_never_below_exact(self, case, m1, seed):
+        dataset, partition, source, m2 = case
+        approx = approx_set_distance(dataset, partition, source, ApproxParams(m1, m2, seed))
+        exact = exact_set_distance(dataset, partition, source)
+        assert approx.value >= exact.value * (1 - 1e-12)
+
+    @PROPERTY
+    @given(scan_cases(), st.integers(0, 2**32 - 1))
+    def test_exact_invariant_under_group_swap_and_row_permutation(self, case, seed):
+        dataset, partition, source, _ = case
+        want = exact_set_distance(dataset, partition, source).value
+        swapped = GroupPartition((0,), partition.group1, partition.group0, dataset.n)
+        assert exact_set_distance(dataset, swapped, source).value == want
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(dataset.n)
+        permuted = LabeledDataset(
+            dataset.features[perm],
+            dataset.sensitive[perm],
+            dataset.labels[perm],
+            dataset.predictions[perm],
+        )
+        got = exact_set_distance(permuted, partition_by_attribute(permuted, 0), source)
+        assert got.value == want
+
+    @PROPERTY
+    @given(scan_cases(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_approx_reruns_repeat_bits(self, case, m1, seed):
+        dataset, partition, source, m2 = case
+        params = ApproxParams(m1, m2, seed)
+        first = approx_set_distance(dataset, partition, source, params)
+        second = approx_set_distance(dataset, partition, source, params)
+        assert first.value.hex() == second.value.hex()
+
+    @PROPERTY
+    @given(scan_cases(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_hfm_distances_use_the_derived_seeds(self, case, m1, seed):
+        dataset, partition, _, m2 = case
+        d, d_f = hfm_distances(dataset, partition, "approx", ApproxParams(m1, m2, seed))
+        for got, source, tag in ((d, TRUE, "D"), (d_f, PRED, "Df")):
+            params = ApproxParams(m1, m2, derived_seed(seed, tag))
+            want = approx_set_distance(dataset, partition, source, params)
+            assert got.value.hex() == want.value.hex()
+            assert (got.label_source, got.m1, got.m2, got.seed) == (
+                source, m1, want.m2, want.seed,
+            )
 
 
 class TestDefaultM2:

@@ -55,11 +55,11 @@ class TestRunComparison:
             (f"ds{i}", synth_dataset(SynthSpec(n=40 + 10 * i, seed=i, with_predictions=True)))
             for i in range(10)
         ]
-        return run_comparison(datasets, [ApproxParams(m1=3, m2=2, seed=0)])
+        return run_comparison(datasets, ApproxParams(m1=3, m2=2, seed=0))
 
     def test_row_cardinality_two_sources(self):
         rows = self.sweep()
-        assert len(rows) == 20  # 10 datasets x 1 param x 2 label sources
+        assert len(rows) == 20  # 10 datasets x 2 label sources
 
     def test_overestimation_on_every_row(self):
         for row in self.sweep():
@@ -81,9 +81,7 @@ class TestRunComparison:
 
         good = synth_dataset(SynthSpec(n=30, seed=4))
         bad = make_dataset(np.linspace(0, 1, 5), [1, 1, 1, 1, 1], [1, 2, 1, 2, 1])
-        rows = run_comparison(
-            [("good", good), ("bad", bad)], [ApproxParams(m1=2, m2=2, seed=0)]
-        )
+        rows = run_comparison([("good", good), ("bad", bad)], ApproxParams(m1=2, m2=2, seed=0))
         by_id = {row.dataset_id: row for row in rows}
         assert by_id["good"].status == "ok"
         assert by_id["bad"].status == "failed"
@@ -91,7 +89,7 @@ class TestRunComparison:
 
     def test_single_source_without_predictions(self):
         datasets = [("d", synth_dataset(SynthSpec(n=30, seed=5)))]
-        rows = run_comparison(datasets, [ApproxParams(m1=2, m2=2, seed=0)])
+        rows = run_comparison(datasets, ApproxParams(m1=2, m2=2, seed=0))
         assert len(rows) == 1
         assert rows[0].label_source == "labels"
 
@@ -134,7 +132,7 @@ class TestSummary:
             ("b", synth_dataset(SynthSpec(n=60, seed=1))),
             ("c", synth_dataset(SynthSpec(n=80, seed=2))),
         ]
-        rows = run_comparison(datasets, [ApproxParams(m1=2, m2=2, seed=0)])
+        rows = run_comparison(datasets, ApproxParams(m1=2, m2=2, seed=0))
         summary = summarize(rows)
         assert summary["rows"] == 3
         assert summary["rows_ok"] == 3

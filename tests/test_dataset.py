@@ -6,10 +6,8 @@ from fairdist import (
     InvalidArgument,
     LabeledDataset,
     UnsupportedAttributeArity,
-    flip_binary_attribute,
     joint_partition,
     partition_by_attribute,
-    partition_one_vs_rest,
 )
 
 from conftest import make_dataset
@@ -90,48 +88,6 @@ class TestJointPartition:
         ds = make_dataset([[0.1]], [1], [1])
         with pytest.raises(InvalidArgument):
             joint_partition(ds, [])
-
-
-class TestFlipBinaryAttribute:
-    def test_flip_column(self):
-        ds = make_dataset([[0.1], [0.2], [0.3]], [0, 1, 0], [1, 2, 1])
-        flipped = flip_binary_attribute(ds, 0)
-        assert flipped.sensitive[:, 0].tolist() == [1, 0, 1]
-        assert ds.sensitive[:, 0].tolist() == [0, 1, 0]  # input untouched
-
-    def test_involution(self, rng):
-        ds = make_dataset(
-            rng.uniform(size=(8, 2)), rng.integers(0, 2, size=(8, 2)), rng.integers(1, 3, size=8)
-        )
-        twice = flip_binary_attribute(flip_binary_attribute(ds, 1), 1)
-        assert np.array_equal(twice.sensitive, ds.sensitive)
-
-    def test_other_fields_untouched(self):
-        ds = make_dataset([[0.5], [0.6]], [[0, 1], [1, 0]], [1, 2], np.array([2, 1]))
-        flipped = flip_binary_attribute(ds, 0)
-        assert np.array_equal(flipped.features, ds.features)
-        assert np.array_equal(flipped.labels, ds.labels)
-        assert np.array_equal(flipped.predictions, ds.predictions)
-        assert flipped.sensitive[:, 1].tolist() == ds.sensitive[:, 1].tolist()
-
-    def test_non_binary_rejected(self):
-        ds = make_dataset([[0.1]], [3], [1])
-        with pytest.raises(UnsupportedAttributeArity):
-            flip_binary_attribute(ds, 0)
-
-
-class TestOneVsRest:
-    def test_multivalued_split(self):
-        ds = make_dataset([[0.1], [0.2], [0.3], [0.4]], [2, 0, 2, 1], [1, 1, 1, 1])
-        part = partition_one_vs_rest(ds, 0, 2)
-        assert part.group1.tolist() == [0, 2]
-        assert part.group0.tolist() == [1, 3]
-
-    def test_matches_binary_partition(self):
-        ds = make_dataset([[0.1], [0.2]], [0, 1], [1, 1])
-        a = partition_one_vs_rest(ds, 0, 1)
-        b = partition_by_attribute(ds, 0)
-        assert a.group1.tolist() == b.group1.tolist()
 
 
 class TestValidation:

@@ -8,23 +8,27 @@ from fairdist import (
     DimensionError,
     EmptyGroup,
     InvalidArgument,
+    LabeledDataset,
     MissingPredictions,
     UndefinedRate,
     approx_set_distance,
     compute_group_rates,
     demographic_parity,
     discriminative_risk,
-    discriminative_risk_of_model,
     equal_opportunity,
     exact_set_distance,
     hfm,
-    hfm_approx,
-    hfm_exact,
+    hfm_distances,
     partition_by_attribute,
     predictive_quality_parity,
 )
 
 from conftest import PRED, TRUE, make_dataset, random_grouped_dataset
+
+
+def hfm_of(dataset, partition, method="exact", params=None):
+    d, d_f = hfm_distances(dataset, partition, method, params)
+    return hfm(d_f.value, d.value)
 
 
 class TestHfm:
@@ -65,9 +69,9 @@ class TestHfm:
 class TestHfmEndToEnd:
     def test_predictions_equal_labels_give_zero(self, rng):
         ds = random_grouped_dataset(rng, with_predictions=False)
-        ds = ds.with_predictions(np.array(ds.labels))
+        ds = LabeledDataset(ds.features, ds.sensitive, ds.labels, ds.labels)
         part = partition_by_attribute(ds, 0)
-        assert hfm_exact(ds, part) == 0.0
+        assert hfm_of(ds, part) == 0.0
 
     def test_constant_predictor_fixture(self):
         # 6-row fixture: groups share the feature grid and differ only in
@@ -83,15 +87,21 @@ class TestHfmEndToEnd:
         part = partition_by_attribute(ds, 0)
         assert exact_set_distance(ds, part, TRUE).value == pytest.approx(1.0, abs=1e-15)
         assert exact_set_distance(ds, part, PRED).value == 0.0
-        assert hfm_exact(ds, part) == pytest.approx(-1.0, abs=1e-15)
+        assert hfm_of(ds, part) == pytest.approx(-1.0, abs=1e-15)
 
     def test_missing_predictions(self, rng):
         ds = random_grouped_dataset(rng, with_predictions=False)
         part = partition_by_attribute(ds, 0)
         with pytest.raises(MissingPredictions):
-            hfm_exact(ds, part)
+            hfm_distances(ds, part)
         with pytest.raises(MissingPredictions):
-            hfm_approx(ds, part)
+            hfm_distances(ds, part, "approx")
+
+    def test_unknown_method(self, six_row_dataset):
+        ds, part = six_row_dataset
+        ds = LabeledDataset(ds.features, ds.sensitive, ds.labels, ds.labels)
+        with pytest.raises(InvalidArgument):
+            hfm_distances(ds, part, "tree")
 
     def test_approx_within_propagated_error(self, rng):
         # both approximate distances overestimate, so the approximate HFM
@@ -113,21 +123,20 @@ class TestHfmEndToEnd:
             d_f_hat = approx_set_distance(
                 ds, part, PRED, ApproxParams(5, 3, derived_seed(i, "Df"))
             ).value
-            got = hfm_approx(ds, part, params)
+            got = hfm_of(ds, part, "approx", params)
             assert d_f / d_hat - 1 - 1e-9 <= got <= d_f_hat / d - 1 + 1e-9
             checked += 1
         assert checked >= 30
 
 
 class TestGroupMeasures:
-    def fixture(self):
+    def fixture(self, predictions=(2, 2, 2, 1, 2, 1, 2, 1)):
         # 8 rows, positive label 2:
         # group1 predicted-positive 3/4, group0 2/4 -> DP = 0.25
         sensitive = [1, 1, 1, 1, 0, 0, 0, 0]
         labels = [2, 2, 1, 1, 2, 2, 1, 1]
-        predictions = np.array([2, 2, 2, 1, 2, 1, 2, 1])
         features = np.linspace(0, 1, 8)
-        return make_dataset(features, sensitive, labels, predictions)
+        return make_dataset(features, sensitive, labels, np.array(predictions))
 
     def test_demographic_parity_hand_count(self):
         ds = self.fixture()
@@ -149,7 +158,7 @@ class TestGroupMeasures:
         assert demographic_parity(ds, part, 2) == 1.0
 
     def test_equal_opportunity_perfect_classifier(self):
-        ds = self.fixture().with_predictions(np.array([2, 2, 1, 1, 2, 2, 1, 1]))
+        ds = self.fixture((2, 2, 1, 1, 2, 2, 1, 1))
         part = partition_by_attribute(ds, 0)
         assert equal_opportunity(ds, part, 2) == 0.0
 
@@ -170,7 +179,7 @@ class TestGroupMeasures:
             equal_opportunity(ds, part, 2)
 
     def test_pqp_equal_precision(self):
-        ds = self.fixture().with_predictions(np.array([2, 2, 1, 1, 2, 2, 1, 1]))
+        ds = self.fixture((2, 2, 1, 1, 2, 2, 1, 1))
         part = partition_by_attribute(ds, 0)
         assert predictive_quality_parity(ds, part, 2) == 0.0
 
@@ -249,18 +258,3 @@ class TestDiscriminativeRisk:
             assert discriminative_risk(a, c) <= (
                 discriminative_risk(a, b) + discriminative_risk(b, c) + 1e-15
             )
-
-    def test_model_callback_form(self, rng):
-        ds = random_grouped_dataset(rng, with_predictions=False)
-
-        def predict(dataset):
-            # depends on the sensitive column, so flipping it changes output
-            return 1 + dataset.sensitive[:, 0]
-
-        risk = discriminative_risk_of_model(predict, ds, 0)
-        assert risk == 1.0
-
-        def blind_predict(dataset):
-            return np.ones(dataset.n, dtype=int)
-
-        assert discriminative_risk_of_model(blind_predict, ds, 0) == 0.0

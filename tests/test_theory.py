@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from fairdist import (
     projection_dominance_bounds,
     suggest_m2,
 )
+
+from conftest import dense_scaled_density
 
 
 def random_pair(rng, dim):
@@ -189,3 +192,29 @@ class TestScaledDensity:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidArgument):
             estimate_scaled_density(np.zeros((2, 2)), d=0.0)
+        with pytest.raises(InvalidArgument):
+            estimate_scaled_density(np.zeros((2, 2)), d=1.0, radii=np.array([0.5, 0.0]))
+
+    def test_matches_dense_formula(self, rng):
+        # up to n = 1,100 rows, so the larger clouds span several row
+        # blocks and end in a partial one
+        for n in (1, 2, 7, 60, 600, 1100):
+            for dim in (1, 2, 4):
+                # rounding to a grid puts pairs exactly on the radius
+                points = np.round(rng.uniform(size=(n, dim)), 1)
+                d = float(rng.uniform(0.05, 0.5))
+                radii = np.concatenate([rng.uniform(0.01, 1.0, size=5), [0.1, 0.2]])
+                for r in (None, radii):
+                    got = estimate_scaled_density(points, d, r)
+                    assert got.hex() == dense_scaled_density(points, d, r).hex()
+
+    def test_memory_bounded_in_n(self, rng):
+        # the dense formula's n x n x 4 tensor alone is 128 MB at n = 2,000
+        points = rng.uniform(size=(2000, 4))
+        tracemalloc.start()
+        try:
+            estimate_scaled_density(points, d=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
