@@ -209,8 +209,9 @@ def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def summarize(rows: Sequence[ComparisonRow]) -> dict:
-    """Sweep-level agreement and speed summary over the ok rows."""
+def summarize(rows: Sequence[ComparisonRow], include_timing: bool = True) -> dict:
+    """Sweep-level agreement and speed summary over the ok rows; the
+    wall-clock `mean_speedup` is left out unless include_timing."""
     ok = [row for row in rows if row.status == "ok"]
     summary = {
         "rows": len(rows),
@@ -234,4 +235,6 @@ def summarize(rows: Sequence[ComparisonRow]) -> dict:
         summary["mean_speedup"] = float(
             np.mean([row.exact_ns / row.approx_ns for row in ok if row.approx_ns])
         )
+    if not include_timing:
+        del summary["mean_speedup"]
     return summary

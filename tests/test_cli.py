@@ -84,6 +84,20 @@ class TestDist:
         assert code == 0, err
         assert json.loads(out)["value"] == 0.5
 
+    def test_bytes_that_are_not_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,sex,y\n0.1,Male,1\n0.9,Fémale,2\n".encode("latin-1"))
+        code, _, err = run(capsys, ["dist", "--input", str(path), *SCHEMA6])
+        assert code == 2
+        assert "line 3" in err and "not valid UTF-8" in err
+
+    def test_cell_over_the_csv_field_limit_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "huge_cell.csv"
+        path.write_text("x,sex,y\n0.1,Male,1\n0." + "1" * 200_000 + ",Female,2\n")
+        code, _, err = run(capsys, ["dist", "--input", str(path), *SCHEMA6])
+        assert code == 2
+        assert "line 3" in err and "field larger than field limit" in err
+
     def test_prediction_label_source(self, capsys):
         argv = ["dist", "--input", DIST6, *SCHEMA6, "--prediction", "yhat",
                 "--label-source", "predictions"]
@@ -150,6 +164,13 @@ class TestGroupMetrics:
         assert record["equal_opportunity"] == "undefined"
         assert record["demographic_parity"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_flipped_column_equal_to_predictions(self, capsys):
+        # the prediction column may serve as its own disturbed copy: DR 0
+        argv = ["group-metrics", "--input", GM12, *SCHEMA12, "--prediction-flipped", "yhat"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["discriminative_risk"] == 0.0
+
     def test_dr_omitted_without_flipped_column(self, capsys):
         code, out, _ = run(capsys, ["group-metrics", "--input", GM12, *SCHEMA12])
         assert code == 0
@@ -186,6 +207,18 @@ class TestBench:
         summary = json.loads(out)
         assert summary["rows"] == 5
         assert -1.0 <= summary["pearson_r"] <= 1.0
+
+    def test_default_stdout_is_reproducible(self, capsys):
+        # the wall-clock mean_speedup only appears under --timings
+        argv = ["bench", "--count", "3", "--min-n", "40", "--max-n", "80", "--m1", "3",
+                "--with-predictions"]
+        first, second = run(capsys, argv), run(capsys, argv)
+        assert first == second
+        assert first[0] == 0
+        assert "mean_speedup" not in first[1]
+        code, out, _ = run(capsys, [*argv, "--timings"])
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["mean_speedup"] > 0
 
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")

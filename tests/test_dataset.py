@@ -111,6 +111,17 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             LabeledDataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), np.array([], dtype=int))
 
+    @pytest.mark.parametrize("name", ["predictions", "predictions_flipped"])
+    def test_prediction_vectors_checked(self, name):
+        base = (np.zeros((2, 1)), np.zeros((2, 1), dtype=int), np.array([1, 1]))
+        with pytest.raises(DimensionError):
+            LabeledDataset(*base, **{name: np.array([1])})
+        with pytest.raises(InvalidArgument):
+            LabeledDataset(*base, **{name: np.array([1, 0])})
+        ds = LabeledDataset(*base, **{name: np.array([2, 1])})
+        with pytest.raises(ValueError):
+            getattr(ds, name)[0] = 1
+
     def test_arrays_immutable(self):
         ds = make_dataset([[0.5]], [0], [1])
         with pytest.raises(ValueError):

@@ -1,8 +1,15 @@
+import csv
+import dataclasses
 import math
 import os
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdist import (
     DatasetSchema,
@@ -18,6 +25,9 @@ from fairdist import (
     render_report,
     write_report,
 )
+from fairdist import io as io_module
+
+from conftest import rowwise_load_csv, rowwise_read_int_column
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -139,6 +149,105 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "a,b,sex,y,pf\n1,0,Male,1,2\n2,1,Female,2,2\n")
         assert read_int_column(path, "pf").tolist() == [2, 2]
 
+    def test_read_int_column_rejects_ragged_rows(self, tmp_path):
+        # the one reader checks every row's width, whichever columns it reads
+        path = write_csv(tmp_path, "a,b,sex,y,pf\n1,0,Male,1,2\n2,1,Female,2\n")
+        with pytest.raises(ParseError) as err:
+            read_int_column(path, "a")
+        assert err.value.line == 3
+        assert str(err.value) == "line 3, column '': expected 5 cells, found 4"
+
+    def test_flipped_predictions_read_in_the_same_pass(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,sex,y,p,pf\n1,0,Male,no,yes,no\n2,1,Female,yes,yes,yes\n")
+        schema = DatasetSchema(
+            feature_columns=("a", "b"),
+            sensitive_columns=(("sex", "Male"),),
+            label_column="y",
+            prediction_column="p",
+            label_values=("no", "yes"),
+            prediction_flipped_column="pf",
+        )
+        ds, _ = load_csv(path, schema)
+        assert ds.predictions.tolist() == [2, 2]
+        assert ds.predictions_flipped.tolist() == [1, 2]
+        unflipped = dataclasses.replace(schema, prediction_flipped_column=None)
+        assert load_csv(path, unflipped)[0].predictions_flipped is None
+
+    def test_flipped_column_may_be_the_prediction_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,sex,y,p\n1,0,Male,1,2\n2,1,Female,2,1\n")
+        schema = DatasetSchema(
+            feature_columns=("a", "b"),
+            sensitive_columns=(("sex", "Male"),),
+            label_column="y",
+            prediction_column="p",
+            prediction_flipped_column="p",
+        )
+        ds, _ = load_csv(path, schema)
+        assert ds.predictions_flipped.tolist() == ds.predictions.tolist() == [2, 1]
+
+    def test_missing_flipped_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,sex,y\n1,0,Male,1\n")
+        schema = DatasetSchema(
+            feature_columns=("a", "b"),
+            sensitive_columns=(("sex", "Male"),),
+            label_column="y",
+            prediction_flipped_column="pf",
+        )
+        with pytest.raises(SchemaMismatch, match="'pf' not found"):
+            load_csv(path, schema)
+
+    def test_label_beyond_int64_is_a_parse_error(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,sex,y\n1,0,Male,1\n2,1,Female,99999999999999999999\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, BASIC_SCHEMA)
+        assert (err.value.line, err.value.column) == (3, "y")
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        # the bad byte sits far past the first decoded block
+        body = "".join(f"{i},0,Male,1\n" for i in range(5000))
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b,sex,y\n" + body.encode() + b"1,\xff,Male,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), BASIC_SCHEMA)
+        assert err.value.line == 5002
+        assert "not valid UTF-8" in str(err.value)
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        big = "1" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path, f"a,b,sex,y\n1,0,Male,1\n2,0,Male,1\n{big},1,Female,2\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, BASIC_SCHEMA)
+        assert err.value.line == 4
+        assert "field larger than field limit" in str(err.value)
+
+    def test_memory_bounded_by_the_chunk(self, tmp_path):
+        # 30,000 rows, 5.9 MB: reading the whole file as string rows first
+        # peaked at 35 MiB here, the chunked reader at 9 MiB
+        rng = np.random.Generator(np.random.PCG64(7))
+        raw = rng.uniform(-100.0, 100.0, size=(30_000, 10))
+        names = [f"x{j}" for j in range(10)]
+        path = tmp_path / "wide.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(",".join(names + ["sex", "y", "yhat"]) + "\n")
+            males = rng.random(30_000) < 0.4
+            for row, male, y in zip(raw.tolist(), males, rng.integers(1, 3, 30_000)):
+                sex = "Male" if male else "Female"
+                handle.write(",".join(map(repr, row)) + f",{sex},{y},{3 - y}\n")
+        schema = DatasetSchema(
+            feature_columns=tuple(names),
+            sensitive_columns=(("sex", "Male"),),
+            label_column="y",
+            prediction_column="yhat",
+        )
+        tracemalloc.start()
+        try:
+            ds, _ = load_csv(str(path), schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 30_000
+        assert peak < 16 * 2**20
+
     def test_schema_roles_must_not_overlap(self):
         with pytest.raises(SchemaMismatch):
             DatasetSchema(
@@ -211,3 +320,163 @@ def test_fixture_files_load():
     ds, _ = load_csv(os.path.join(FIXTURES, "group_metrics_12.csv"), schema)
     assert ds.n == 12
     assert int(ds.sensitive[:, 0].sum()) == 6
+
+
+# derandomized: the examples are the same on every run
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# 1 and 3 rows per chunk make small files span many chunks, with a
+# fault landing in any of them; the default takes each file in one
+CHUNKS = (1, 3, io_module.CHUNK_ROWS)
+
+REAL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(
+        [" 1.5 ", "1_0", "+2", "-0.0", "5e-324", "2.2250738585072014e-308", "1E5", ".5", "7.",
+         "\n2.5\n", "-1.7976931348623157e308"]
+    ),
+)
+INT_LABEL_CELLS = st.sampled_from(["1", "2", " 1", "+2", "1_0", "02", "3 "])
+LABEL_VALUES = ("no", "yes", "a,b", "x\ny")
+SENSITIVE_CELLS = st.sampled_from(["Male", "Female", "male", " Male", "M,a", "Ma\nle"])
+# csv.writer leaves a lone "\r" unquoted under a "\n" terminator, so a
+# carriage return only comes as part of "\r\n"
+NOTE_CELLS = st.lists(st.sampled_from([",", '"', "\n", "\r\n", " ", "a"]), max_size=4).map("".join)
+CORRUPT_CELLS = st.sampled_from(
+    ["", "abc", "nan", "inf", "-inf", "1e999", "0", "-1", "maybe", "no", "1.5", "Male"]
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(rows with the header first, schema, line terminator) of a valid
+    file: quoted commas and newlines, padded and underscored numbers,
+    subnormals, constant columns, integer or declared textual labels."""
+    n = draw(st.integers(1, 12))
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    features = [f"f{j}" for j in range(draw(st.integers(1, 3)))]
+    columns = {}
+    for name in features:
+        constant = draw(st.booleans())
+        columns[name] = [draw(REAL_CELLS)] * n if constant else cells(REAL_CELLS)
+    textual = draw(st.booleans())
+    label_cells = st.sampled_from(LABEL_VALUES) if textual else INT_LABEL_CELLS
+    columns["sex"] = cells(SENSITIVE_CELLS)
+    for name in ("y", "yhat", "flip"):
+        columns[name] = cells(label_cells)
+    columns["note, free"] = cells(NOTE_CELLS)
+    header = draw(st.permutations(list(columns)))
+    schema = DatasetSchema(
+        feature_columns=tuple(features),
+        sensitive_columns=(("sex", "Male"),),
+        label_column="y",
+        prediction_column="yhat",
+        label_values=LABEL_VALUES if textual else None,
+        prediction_flipped_column="flip",
+    )
+    rows = [list(header)] + [[columns[name][i] for name in header] for i in range(n)]
+    return rows, schema, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _raw(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return None if value is None else repr(value)
+
+
+def outcome(read):
+    """What a read gives: its arrays as raw bytes, or its error."""
+    try:
+        values = read()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return [_raw(value) for value in values]
+
+
+def check_against_oracle(rows, schema, terminator, ragged=False):
+    """The streaming reads against the frozen pair the CLI used to make:
+    load_csv without the flipped column, then read_int_column for it."""
+    plain = dataclasses.replace(schema, prediction_flipped_column=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator=terminator).writerows(rows)
+        want = outcome(lambda: rowwise_load_csv(path, plain))
+        want_flip = outcome(lambda: [rowwise_read_int_column(path, "flip", schema.label_values)])
+        for chunk in CHUNKS:
+            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                got_plain = outcome(lambda: _streamed(path, plain))
+                got = outcome(lambda: _streamed(path, schema))
+                got_flip = outcome(lambda: [read_int_column(path, "flip", schema.label_values)])
+            if isinstance(want, list):
+                assert got_plain == want + [None]
+            else:
+                assert got_plain == want
+            if not ragged:
+                # the frozen read_int_column never checked row widths
+                assert got_flip == want_flip
+            # one pass raises whichever fault comes first in row-major order
+            if isinstance(want, list) and isinstance(want_flip, list):
+                assert got == want + want_flip
+            elif isinstance(want_flip, list):
+                assert got == want
+            elif isinstance(want, list):
+                assert got == want_flip
+            else:
+                assert got in (want, want_flip)
+
+
+def _streamed(path, schema):
+    ds, report = load_csv(path, schema)
+    return ds.features, ds.sensitive, ds.labels, ds.predictions, report, ds.predictions_flipped
+
+
+class TestStreamingReaderMatchesRowwiseReader:
+    """Chunked, column-wise parsing must give the frozen row-by-row
+    reader's arrays bit for bit, and its exception, line and column."""
+
+    @PROPERTY
+    @given(csv_tables())
+    def test_valid_files_hex_equal(self, table):
+        check_against_oracle(*table)
+
+    @PROPERTY
+    @given(csv_tables(), st.data())
+    def test_faults_raise_as_before(self, table, data):
+        rows, schema, terminator = table
+        ragged = False
+        line = data.draw(st.integers(1, len(rows) - 1))
+        for _ in range(data.draw(st.integers(1, 2))):
+            # two faults often share a row, which tests the order of checks in it
+            line = data.draw(st.one_of(st.just(line), st.integers(1, len(rows) - 1)))
+            row = rows[line]
+            kind = data.draw(st.sampled_from(["cell", "cell", "short", "long"]))
+            if kind == "cell":
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CORRUPT_CELLS)
+            elif kind == "short":
+                row.pop(data.draw(st.integers(0, len(row) - 1)))
+                ragged = True
+            else:
+                row.append("x")
+                ragged = True
+        check_against_oracle(rows, schema, terminator, ragged)
+
+    def test_two_faults_in_one_row_every_column_pair(self):
+        schema = DatasetSchema(
+            feature_columns=("f0", "f1"),
+            sensitive_columns=(("sex", "Male"),),
+            label_column="y",
+            prediction_column="yhat",
+            prediction_flipped_column="flip",
+        )
+        header = ["f0", "y", "sex", "flip", "f1", "yhat", "note"]
+        valid = [["0.5", "1", "Male", "2", "1e3", "2", "a,b"] for _ in range(4)]
+        for first in range(len(header)):
+            for second in range(first + 1, len(header)):
+                for bad in ("", "x"):
+                    rows = [header] + [list(row) for row in valid]
+                    rows[3][first] = rows[3][second] = bad
+                    check_against_oracle(rows, schema, "\n")
