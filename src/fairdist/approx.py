@@ -17,12 +17,12 @@ full window scan took about 85% of a trial; projecting, sorting and
 gathering the rows took the rest, a few milliseconds each. Two exact
 bounds cut the scan without changing any result:
 
-- Prefix bound. Every anchor first takes its nearest PREFIX_DEPTH
-  opposite points on each side. Their minimum bounds the anchor's
-  windowed minimum from above, so an anchor whose bound is at most the
-  largest finished minimum cannot set the trial's maximum and is never
-  finished. The others are finished best first, largest bound first,
-  over the rest of the window in chunks.
+- Prefix bound. Every anchor first takes its nearest opposite point on
+  each side. Their minimum bounds the anchor's windowed minimum from
+  above, so an anchor whose bound is at most the largest finished
+  minimum cannot set the trial's maximum and is never finished. The
+  others are finished best first, largest bound first, over the rest of
+  the window in chunks.
 - Early abandon. The reported value is the minimum over trials, so a
   trial whose largest finished minimum reaches the best earlier trial
   cannot lower it and stops there (as in the UCR suite's early
@@ -60,9 +60,6 @@ from .exact import DistanceResult, augmented_points
 
 DEFAULT_M1 = 25
 DEFAULT_SEED = 42
-# Window offsets per side evaluated for every anchor before best-first
-# completion; see CHANGES.md for the measurement behind the value.
-PREFIX_DEPTH = 1
 # At most this many pair distances per chunk, which bounds its temporaries.
 CHUNK_PAIRS = 1 << 15
 
@@ -168,26 +165,25 @@ def _gather_diff(
 
 
 def _prefix_minima_sq(
-    za: np.ndarray, zo: np.ndarray, n_left: np.ndarray, depth: int, work: np.ndarray
+    za: np.ndarray, zo: np.ndarray, n_left: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Per-anchor minimum squared distance over at most `depth`
-    opposite-group points on each side of the anchor.
+    """Per-anchor minimum squared distance to its nearest opposite-group
+    point on each side.
 
-    Works one window offset at a time: anchors are in ascending sorted
-    position, so the anchors for which the k-th left (right) neighbor
-    exists form a suffix (prefix) slice and no masking is needed.
+    Anchors are in ascending sorted position, so the anchors that have a
+    left (right) neighbor form a suffix (prefix) slice and no masking is
+    needed.
     """
-    n_opp = len(zo)
     best = np.full(len(za), np.inf)
-    for k in range(1, depth + 1):
-        start = int(np.searchsorted(n_left, k))  # first anchor with k left neighbors
-        if start < len(za):
-            diff = _gather_diff(za[start:], zo, n_left[start:] - k, work)
-            np.minimum(best[start:], np.einsum("ij,ij->i", diff, diff), out=best[start:])
-        stop = int(np.searchsorted(n_left, n_opp - k, side="right"))
-        if stop > 0:
-            diff = _gather_diff(za[:stop], zo, n_left[:stop] + (k - 1), work)
-            np.minimum(best[:stop], np.einsum("ij,ij->i", diff, diff), out=best[:stop])
+    start = int(np.searchsorted(n_left, 1))  # first anchor with a left neighbor
+    if start < len(za):
+        diff = _gather_diff(za[start:], zo, n_left[start:] - 1, work)
+        best[start:] = np.einsum("ij,ij->i", diff, diff)
+    # one past the last anchor with a right neighbor
+    stop = int(np.searchsorted(n_left, len(zo) - 1, side="right"))
+    if stop > 0:
+        diff = _gather_diff(za[:stop], zo, n_left[:stop], work)
+        np.minimum(best[:stop], np.einsum("ij,ij->i", diff, diff), out=best[:stop])
     return best
 
 
@@ -244,16 +240,15 @@ class _WindowScan:
             (z0, z1, pos0 - np.arange(len(pos0))),
             (z1, z0, pos1 - np.arange(len(pos1))),
         )
-        depth = min(m2, PREFIX_DEPTH)
-        bounds = [_prefix_minima_sq(za, zo, n_left, depth, self.work) for za, zo, n_left in sides]
+        bounds = [_prefix_minima_sq(za, zo, n_left, self.work) for za, zo, n_left in sides]
         ub = np.concatenate(bounds)
         widest = min(m2, max(len(z0), len(z1)))
-        if widest <= depth:
+        if widest == 1:
             return float(ub.max())
         # An anchor's windowed minimum is at most its prefix bound, so an
         # anchor whose bound is <= the largest finished minimum cannot set
         # the trial's maximum; finish the others, largest bound first.
-        chunk = max(1, CHUNK_PAIRS // (2 * (widest - depth)))
+        chunk = max(1, CHUNK_PAIRS // (2 * (widest - 1)))
         n0 = len(z0)
         largest = 0.0
         pending = np.arange(len(ub))
@@ -270,8 +265,8 @@ class _WindowScan:
                 if len(idx) == 0:
                     continue
                 bound, last = bound[idx], min(m2, len(zo))
-                if last > depth:
-                    rest = _offset_minima_sq(za, zo, n_left, idx, depth + 1, last)
+                if last > 1:
+                    rest = _offset_minima_sq(za, zo, n_left, idx, 2, last)
                     bound = np.minimum(bound, rest)
                 largest = max(largest, float(bound.max()))
             pending = pending[ub[pending] > largest]

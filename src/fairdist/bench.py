@@ -10,7 +10,7 @@ the sweep continues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +81,10 @@ def synth_dataset(spec: SynthSpec) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One sweep cell: a dataset, one parameter set, one label source."""
+    """One sweep cell: a dataset, one parameter set, one label source.
+
+    The field order is the column order of the sweep report.
+    """
 
     dataset_id: str
     n: int
@@ -101,25 +104,9 @@ class ComparisonRow:
     error: str = ""
 
     def to_record(self, include_timing: bool = True) -> dict:
-        record = {
-            "dataset_id": self.dataset_id,
-            "n": self.n,
-            "n_x": self.n_x,
-            "n0": self.n0,
-            "n1": self.n1,
-            "label_source": self.label_source,
-            "m1": self.m1,
-            "m2": self.m2,
-            "seed": self.seed,
-            "exact_value": self.exact_value,
-            "approx_value": self.approx_value,
-            "relative_difference": self.relative_difference,
-        }
-        if include_timing:
-            record["exact_ns"] = self.exact_ns
-            record["approx_ns"] = self.approx_ns
-        record["status"] = self.status
-        record["error"] = self.error
+        record = asdict(self)
+        if not include_timing:
+            del record["exact_ns"], record["approx_ns"]
         return record
 
 

@@ -21,6 +21,7 @@ from .dataset import LabeledDataset, LabelSource, joint_partition, partition_by_
 from .errors import (
     ComputationError,
     DataInputError,
+    InvalidArgument,
     SchemaMismatch,
     UndefinedRate,
 )
@@ -103,6 +104,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_hfm(args) -> int:
+    if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
+        raise InvalidArgument("--alpha must lie in [0, 1]")
     schema = _schema_from_args(args)
     if schema.prediction_column is None:
         raise SchemaMismatch("hfm requires --prediction")
@@ -123,7 +126,10 @@ def cmd_hfm(args) -> int:
         error_rate = float((dataset.predictions != dataset.labels).mean())
         record["alpha"] = args.alpha
         record["error_rate"] = error_rate
-        record["combined_score"] = args.alpha * error_rate + (1.0 - args.alpha) * abs(value)
+        # at alpha = 1 the HFM term has weight 0, also when the HFM is
+        # inf (where (1 - alpha) * inf would be NaN)
+        hfm_term = (1.0 - args.alpha) * abs(value) if args.alpha < 1.0 else 0.0
+        record["combined_score"] = args.alpha * error_rate + hfm_term
     if args.timings:
         record["elapsed_ns"] = d.elapsed_ns + d_f.elapsed_ns
     _emit(args, record)
@@ -191,6 +197,8 @@ def _theory_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.nda
 
 
 def cmd_verify_theory(args) -> int:
+    if args.max_dim < 2:
+        raise InvalidArgument("--max-dim must be at least 2")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     # both record kinds share one header (the CSV report has a single
     # one); a field a kind does not have stays None
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=float,
         default=None,
-        help="also report alpha*error_rate + (1-alpha)*|hfm|",
+        help="also report alpha*error_rate + (1-alpha)*|hfm|, alpha in [0, 1]",
     )
     _add_approx_options(p_hfm)
     _add_output_options(p_hfm)
@@ -396,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_vt.add_argument("--pairs", type=int, default=100)
     p_vt.add_argument("--trials", type=int, default=100_000)
-    p_vt.add_argument("--max-dim", type=int, default=10)
+    p_vt.add_argument(
+        "--max-dim", type=int, default=10, help="largest pair dimension (at least 2)"
+    )
     p_vt.add_argument("--seed", type=int, default=42)
     p_vt.add_argument("--grid-n", default="1000,10000,100000")
     p_vt.add_argument("--grid-k", default="3,9")

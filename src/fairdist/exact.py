@@ -81,43 +81,6 @@ def _cdist():
     return cdist
 
 
-def _pair_minima(
-    dataset: LabeledDataset, indices_a: np.ndarray, indices_b: np.ndarray, source: LabelSource
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row nearest-opposite distances for both index sets, with the
-    label slot chosen by `source`, streamed block by block."""
-    cdist = _cdist()
-    values = dataset.values_for(source).astype(np.float64)
-    za = augmented_points(dataset.features[indices_a], values[indices_a])
-    zb = augmented_points(dataset.features[indices_b], values[indices_b])
-    min_a = np.full(len(za), np.inf)
-    min_b = np.full(len(zb), np.inf)
-    for i in range(0, len(za), _BLOCK):
-        a = za[i : i + _BLOCK]
-        for j in range(0, len(zb), _BLOCK):
-            b = zb[j : j + _BLOCK]
-            block = cdist(a, b)
-            np.minimum(min_a[i : i + _BLOCK], block.min(axis=1), out=min_a[i : i + _BLOCK])
-            np.minimum(min_b[j : j + _BLOCK], block.min(axis=0), out=min_b[j : j + _BLOCK])
-    return min_a, min_b
-
-
-def directed_max_min(
-    dataset: LabeledDataset,
-    from_indices: np.ndarray,
-    to_indices: np.ndarray,
-    source: LabelSource,
-) -> float:
-    """max over `from` rows of the distance to the nearest `to` row,
-    with the label slot chosen by `source`."""
-    from_indices = np.asarray(from_indices, dtype=np.int64)
-    to_indices = np.asarray(to_indices, dtype=np.int64)
-    if len(from_indices) == 0 or len(to_indices) == 0:
-        raise EmptyGroup("directed distance needs two nonempty index sets")
-    min_a, _ = _pair_minima(dataset, from_indices, to_indices, source)
-    return float(min_a.max())
-
-
 def exact_set_distance(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
 ) -> DistanceResult:
@@ -128,9 +91,19 @@ def exact_set_distance(
     """
     if partition.has_empty_group:
         raise EmptyGroup("both groups must be nonempty to compute a distance")
-    _cdist()  # a first import stays out of elapsed_ns
+    cdist = _cdist()  # a first import stays out of elapsed_ns
     start = time.perf_counter_ns()
-    min0, min1 = _pair_minima(dataset, partition.group0, partition.group1, source)
+    values = dataset.values_for(source).astype(np.float64)
+    z0 = augmented_points(dataset.features[partition.group0], values[partition.group0])
+    z1 = augmented_points(dataset.features[partition.group1], values[partition.group1])
+    # per-row nearest-opposite distances, streamed block by block
+    min0 = np.full(len(z0), np.inf)
+    min1 = np.full(len(z1), np.inf)
+    for i in range(0, len(z0), _BLOCK):
+        for j in range(0, len(z1), _BLOCK):
+            block = cdist(z0[i : i + _BLOCK], z1[j : j + _BLOCK])
+            np.minimum(min0[i : i + _BLOCK], block.min(axis=1), out=min0[i : i + _BLOCK])
+            np.minimum(min1[j : j + _BLOCK], block.min(axis=0), out=min1[j : j + _BLOCK])
     value = float(max(min0.max(), min1.max()))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(

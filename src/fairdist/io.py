@@ -98,25 +98,29 @@ class ScalingReport:
 
 
 def minmax_scale(matrix: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, ScalingReport]:
-    """Column-wise (x - min) / (max - min); constant columns become 0."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    scaled = np.empty_like(matrix)
+    """Column-wise (x - min) / (max - min), in place: the float64 `matrix`
+    is overwritten with its scaled values and returned. Constant columns
+    become 0."""
     ranges = []
     constant = []
     for j, name in enumerate(names):
-        lo = float(matrix[:, j].min())
-        hi = float(matrix[:, j].max())
+        col = matrix[:, j]
+        lo = float(col.min())
+        hi = float(col.max())
         ranges.append((name, lo, hi))
         if hi > lo and math.isfinite(hi - lo):
-            scaled[:, j] = (matrix[:, j] - lo) / (hi - lo)
+            col -= lo
+            col /= hi - lo
         elif hi > lo:
             # the span overflows a double (a column reaching about
             # +-1e308): halving every term first keeps it finite
-            scaled[:, j] = (matrix[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2)
+            col /= 2
+            col -= lo / 2
+            col /= hi / 2 - lo / 2
         else:
-            scaled[:, j] = 0.0
+            col[:] = 0.0
             constant.append(name)
-    return scaled, ScalingReport(tuple(ranges), tuple(constant))
+    return matrix, ScalingReport(tuple(ranges), tuple(constant))
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -377,20 +381,16 @@ def _scalar_to_cell(value) -> str:
 
 def _as_records(report) -> tuple[list[dict], bool]:
     # returns (records, was_single)
-    if hasattr(report, "to_record"):
-        report = report.to_record()
     if isinstance(report, Mapping):
         return [dict(report)], True
     if isinstance(report, Sequence) and not isinstance(report, (str, bytes)):
         records = []
         for item in report:
-            if hasattr(item, "to_record"):
-                item = item.to_record()
             if not isinstance(item, Mapping):
-                raise InvalidArgument("report rows must be mappings or carry to_record()")
+                raise InvalidArgument("report rows must be mappings")
             records.append(dict(item))
         return records, False
-    raise InvalidArgument("report must be a mapping, a sequence of mappings, or a record object")
+    raise InvalidArgument("report must be a mapping or a sequence of mappings")
 
 
 def render_report(report, fmt: str = "json") -> str:

@@ -31,11 +31,8 @@ from .errors import (
 )
 from .exact import DistanceResult, exact_set_distance
 
-# Finite float, or math.inf for the degenerate positive case.
-FairnessValue = float
 
-
-def hfm(d_f: float, d: float) -> FairnessValue:
+def hfm(d_f: float, d: float) -> float:
     """Fairness degree from the two distances: d_f / d - 1.
 
     d = 0 with d_f = 0 yields 0 (nothing to amplify, nothing added);

@@ -13,21 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from fairdist import (
-    DimensionError,
-    GroupPartition,
-    IoError,
-    LabeledDataset,
-    LabelSource,
-    MissingValue,
-    ParseError,
-    ProjectionVector,
-    SchemaMismatch,
-    SynthSpec,
-    minmax_scale,
-    sample_l1_unit_vector,
-    synth_dataset,
-)
+from fairdist import GroupPartition, LabeledDataset, LabelSource
+from fairdist.approx import ProjectionVector, sample_l1_unit_vector
+from fairdist.bench import SynthSpec, synth_dataset
+from fairdist.errors import DimensionError, IoError, MissingValue, ParseError, SchemaMismatch
+from fairdist.io import ScalingReport
 
 
 def make_dataset(features, sensitive, labels, predictions=None) -> LabeledDataset:
@@ -240,6 +230,27 @@ def _rowwise_index(header, name, path) -> int:
     return hits[0]
 
 
+def copying_minmax_scale(matrix, names):
+    """minmax_scale as it was before it scaled in place, kept frozen as the
+    reference: a new scaled block, the argument left as it is."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    scaled = np.empty_like(matrix)
+    ranges = []
+    constant = []
+    for j, name in enumerate(names):
+        lo = float(matrix[:, j].min())
+        hi = float(matrix[:, j].max())
+        ranges.append((name, lo, hi))
+        if hi > lo and math.isfinite(hi - lo):
+            scaled[:, j] = (matrix[:, j] - lo) / (hi - lo)
+        elif hi > lo:
+            scaled[:, j] = (matrix[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2)
+        else:
+            scaled[:, j] = 0.0
+            constant.append(name)
+    return scaled, ScalingReport(tuple(ranges), tuple(constant))
+
+
 def rowwise_load_csv(path, schema):
     """load_csv by the original reader, kept frozen as the reference: the
     whole file as a list of string rows, then every cell converted and
@@ -286,7 +297,7 @@ def rowwise_load_csv(path, schema):
             predictions[i] = _rowwise_label(
                 row[pred_idx], line, schema.prediction_column, schema.label_values
             )
-    features, report = minmax_scale(raw_features, schema.feature_columns)
+    features, report = copying_minmax_scale(raw_features, schema.feature_columns)
     return features, sensitive, labels, predictions, report
 
 

@@ -7,23 +7,23 @@ from hypothesis import strategies as st
 
 from fairdist import (
     ApproxParams,
-    DimensionError,
-    EmptyGroup,
     GroupPartition,
-    InvalidArgument,
     LabeledDataset,
-    ProjectionVector,
     approx_set_distance,
-    default_m2,
-    derived_seed,
     exact_set_distance,
     hfm_distances,
     partition_by_attribute,
+)
+from fairdist import approx as approx_module
+from fairdist.approx import (
+    ProjectionVector,
+    _trial_rng,
+    default_m2,
+    derived_seed,
     projection_scan_distance,
     sample_l1_unit_vector,
 )
-from fairdist import approx as approx_module
-from fairdist.approx import _trial_rng
+from fairdist.errors import DimensionError, EmptyGroup, InvalidArgument
 
 from conftest import (
     PRED,

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from fairdist import (
-    ApproxParams,
-    InvalidArgument,
+from fairdist import ApproxParams, approx_set_distance, partition_by_attribute
+from fairdist.bench import (
     SynthSpec,
-    UndefinedCorrelation,
-    approx_set_distance,
-    partition_by_attribute,
     pearson,
     relative_difference,
-    render_report,
     run_comparison,
     summarize,
     synth_dataset,
 )
+from fairdist.errors import InvalidArgument, UndefinedCorrelation
+from fairdist.io import render_report
 
 from conftest import TRUE
 

@@ -131,6 +131,27 @@ class TestHfm:
             0.05 * record["error_rate"] + 0.95 * abs(record["hfm"])
         )
 
+    def test_alpha_one_with_infinite_hfm(self, capsys, tmp_path):
+        # the groups share (x, y) but not yhat: d = 0 < d_f, so the HFM is
+        # inf, and at alpha = 1 the score is the error rate alone
+        path = tmp_path / "degen.csv"
+        path.write_text(
+            "x,sex,y,yhat\n0.2,Male,1,1\n0.2,Female,1,2\n0.8,Male,2,2\n0.8,Female,2,2\n"
+        )
+        argv = ["hfm", "--input", str(path), *SCHEMA6, "--prediction", "yhat", "--alpha", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["hfm"] == "inf"
+        assert record["error_rate"] == record["combined_score"] == 0.25
+
+    @pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_exits_three(self, capsys, alpha):
+        argv = ["hfm", "--input", DIST6, *SCHEMA6, "--prediction", "yhat", "--alpha", alpha]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "--alpha" in err
+
     def test_requires_prediction_flag(self, capsys):
         code, _, err = run(capsys, ["hfm", "--input", DIST6, *SCHEMA6])
         assert code == 2
@@ -245,9 +266,18 @@ class TestVerifyTheory:
         assert all(c["sandwich_ok"] and c["mc_ok"] for c in checks)
         assert checks[0]["exact"] == 0.5  # the pinned equal-norm pair
         assert bounds, "expected a success-bound grid"
-        from fairdist import failure_exponent
+        from fairdist.theory import failure_exponent
 
         for b in bounds:
             assert b["failure_exponent"] == pytest.approx(
                 failure_exponent(b["n"], b["k"], b["m1"], b["m2"]), abs=1e-12
             )
+
+    def test_max_dim_below_two_exits_three(self, capsys):
+        code, out, err = run(capsys, ["verify-theory", "--pairs", "2", "--max-dim", "1"])
+        assert (code, out) == (3, "")
+        assert "--max-dim" in err
+        argv = ["verify-theory", "--pairs", "2", "--trials", "2000", "--max-dim", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "3/3 ok" in out

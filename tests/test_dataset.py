@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from fairdist import (
-    DimensionError,
-    InvalidArgument,
-    LabeledDataset,
-    UnsupportedAttributeArity,
-    joint_partition,
-    partition_by_attribute,
-)
+from fairdist import LabeledDataset, joint_partition, partition_by_attribute
+from fairdist.errors import DimensionError, InvalidArgument, UnsupportedAttributeArity
 
 from conftest import make_dataset
 
@@ -128,7 +122,8 @@ class TestValidation:
             ds.features[0, 0] = 0.7
 
     def test_predictions_required_for_source(self):
-        from fairdist import LabelSource, MissingPredictions
+        from fairdist import LabelSource
+        from fairdist.errors import MissingPredictions
 
         ds = make_dataset([[0.5]], [0], [1])
         with pytest.raises(MissingPredictions):

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from fairdist import (
-    EmptyGroup,
-    GroupPartition,
-    InvalidArgument,
-    LabelSource,
-    MissingPredictions,
-    directed_max_min,
-    exact_set_distance,
-)
+from fairdist import GroupPartition, LabelSource, exact_set_distance
+from fairdist.errors import EmptyGroup, InvalidArgument, MissingPredictions
 
 from conftest import (
     PRED,
@@ -36,33 +29,29 @@ class TestPointDistance:
         assert got == pytest.approx(0.5, abs=1e-15)
 
 
-class TestDirectedMaxMin:
-    def test_same_set_is_zero(self):
-        ds = make_dataset([[0.1], [0.9]], [0, 1], [1, 2])
-        idx = np.array([0, 1])
-        assert directed_max_min(ds, idx, idx, TRUE) == 0.0
-
-    def test_nested_loop_by_hand(self):
-        # from {0.0, 0.2} to {1.0}, all labels equal: max(1.0, 0.8) = 1.0
-        ds = make_dataset([[0.0], [0.2], [1.0]], [0, 0, 1], [1, 1, 1])
-        assert directed_max_min(ds, np.array([0, 1]), np.array([2]), TRUE) == pytest.approx(1.0)
-        assert directed_max_min(ds, np.array([2]), np.array([0, 1]), TRUE) == pytest.approx(0.8)
-
-    def test_singletons(self):
-        ds = make_dataset([[0.0, 0.0], [0.3, 0.4]], [0, 1], [1, 1])
-        got = directed_max_min(ds, np.array([0]), np.array([1]), TRUE)
-        assert got == pytest.approx(0.5, abs=1e-15)
-
-    def test_empty_side(self):
-        ds = make_dataset([[0.1]], [0], [1])
-        with pytest.raises(EmptyGroup):
-            directed_max_min(ds, np.array([], dtype=int), np.array([0]), TRUE)
-
-
 class TestExactSetDistance:
     def test_identical_groups_distance_zero(self):
         ds, part = two_group_dataset([[0.2], [0.8]], [1, 2], [[0.2], [0.8]], [1, 2])
         assert exact_set_distance(ds, part, TRUE).value == 0.0
+
+    def test_same_set_is_zero(self):
+        # one point set, listed in another order in each group
+        ds, part = two_group_dataset([[0.1], [0.9]], [1, 2], [[0.9], [0.1]], [2, 1])
+        assert exact_set_distance(ds, part, TRUE).value == 0.0
+
+    def test_nested_loop_by_hand(self):
+        # {0.0, 0.2} to {1.0}, all labels equal: directed terms max(1.0, 0.8)
+        # = 1.0 and 0.8, so the symmetric distance is 1.0
+        ds, part = two_group_dataset([[0.0], [0.2]], [1, 1], [[1.0]], [1])
+        assert exact_set_distance(ds, part, TRUE).value == pytest.approx(1.0, abs=1e-15)
+        # {0.2} to {1.0, 0.0}: 0.2 one way, max(0.8, 0.2) = 0.8 the other,
+        # so the larger directed term comes from group 1 here
+        ds, part = two_group_dataset([[0.2]], [1], [[1.0], [0.0]], [1, 1])
+        assert exact_set_distance(ds, part, TRUE).value == pytest.approx(0.8, abs=1e-15)
+
+    def test_singletons_three_four_five(self):
+        ds, part = two_group_dataset([[0.0, 0.0]], [1], [[0.3, 0.4]], [1])
+        assert exact_set_distance(ds, part, TRUE).value == pytest.approx(0.5, abs=1e-15)
 
     def test_six_row_fixture(self, six_row_dataset):
         ds, part = six_row_dataset
@@ -128,6 +117,15 @@ class TestExactSetDistance:
         ds = make_dataset([[0.1], [0.2]], [1, 1], [1, 2])
         part = GroupPartition(
             attr_indices=(0,), group0=np.array([], dtype=int), group1=np.array([0, 1]), n=2
+        )
+        with pytest.raises(EmptyGroup):
+            exact_set_distance(ds, part, TRUE)
+
+    def test_empty_side(self):
+        # the privileged side empty: rejected like an empty group0
+        ds = make_dataset([[0.1]], [0], [1])
+        part = GroupPartition(
+            attr_indices=(0,), group0=np.array([0]), group1=np.array([], dtype=int), n=1
         )
         with pytest.raises(EmptyGroup):
             exact_set_distance(ds, part, TRUE)

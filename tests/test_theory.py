@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairdist import (
-    InvalidArgument,
+from fairdist.errors import InvalidArgument
+from fairdist.theory import (
     approximation_success_bound,
     estimate_scaled_density,
     failure_exponent,
