@@ -10,7 +10,7 @@ the sweep continues.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +83,8 @@ def synth_dataset(spec: SynthSpec) -> LabeledDataset:
 class ComparisonRow:
     """One sweep cell: a dataset, one parameter set, one label source.
 
-    The field order is the column order of the sweep report.
+    The field order is the column order of the sweep report, whose
+    records are `dataclasses.asdict` of the rows.
     """
 
     dataset_id: str
@@ -102,12 +103,6 @@ class ComparisonRow:
     approx_ns: int | None
     status: str
     error: str = ""
-
-    def to_record(self, include_timing: bool = True) -> dict:
-        record = asdict(self)
-        if not include_timing:
-            del record["exact_ns"], record["approx_ns"]
-        return record
 
 
 def relative_difference(approx: float, exact: float) -> float:
@@ -196,9 +191,8 @@ def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def summarize(rows: Sequence[ComparisonRow], include_timing: bool = True) -> dict:
-    """Sweep-level agreement and speed summary over the ok rows; the
-    wall-clock `mean_speedup` is left out unless include_timing."""
+def summarize(rows: Sequence[ComparisonRow]) -> dict:
+    """Sweep-level agreement and speed summary over the ok rows."""
     ok = [row for row in rows if row.status == "ok"]
     summary = {
         "rows": len(rows),
@@ -222,6 +216,4 @@ def summarize(rows: Sequence[ComparisonRow], include_timing: bool = True) -> dic
         summary["mean_speedup"] = float(
             np.mean([row.exact_ns / row.approx_ns for row in ok if row.approx_ns])
         )
-    if not include_timing:
-        del summary["mean_speedup"]
     return summary

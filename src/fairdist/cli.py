@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .approx import ApproxParams, approx_set_distance, derived_seed
+from .approx import DEFAULT_M1, DEFAULT_SEED, ApproxParams, derived_seed
 from .bench import SynthSpec, run_comparison, summarize, synth_dataset
-from .dataset import LabeledDataset, LabelSource, joint_partition, partition_by_attribute
+from .dataset import LabelSource, joint_partition, partition_by_attribute
 from .errors import (
     ComputationError,
     DataInputError,
@@ -25,7 +26,6 @@ from .errors import (
     SchemaMismatch,
     UndefinedRate,
 )
-from .exact import exact_set_distance
 from .io import DatasetSchema, load_csv, render_report, write_report
 from .measures import (
     demographic_parity,
@@ -34,6 +34,7 @@ from .measures import (
     hfm,
     hfm_distances,
     predictive_quality_parity,
+    set_distance,
 )
 from .theory import (
     approximation_success_bound,
@@ -43,8 +44,27 @@ from .theory import (
 )
 
 
+# they differ between identical runs, so reports carry them only under
+# --timings
+_WALL_CLOCK_FIELDS = ("elapsed_ns", "exact_ns", "approx_ns", "mean_speedup")
+
+
 def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _list_of(kind):
+    """An argparse type: a comma-separated list of `kind` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(cell) for cell in _comma_list(text)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
 
 
 def _schema_from_args(args) -> DatasetSchema:
@@ -67,19 +87,34 @@ def _schema_from_args(args) -> DatasetSchema:
     )
 
 
-def _partition_from_args(args, schema: DatasetSchema, dataset: LabeledDataset):
+def _load(args, needs_predictions: bool):
+    """The dataset that --input and the schema options name, and its
+    partition by --attr (default: the first sensitive column) or --joint."""
+    schema = _schema_from_args(args)
+    if needs_predictions and schema.prediction_column is None:
+        raise SchemaMismatch(f"{args.command} requires --prediction")
+    dataset, _ = load_csv(args.input, schema)
     names = [name for name, _ in schema.sensitive_columns]
-    if getattr(args, "joint", False):
-        return joint_partition(dataset, list(range(len(names))))
-    attr = getattr(args, "attr", None)
-    if attr is None:
-        return partition_by_attribute(dataset, 0)
-    if attr not in names:
-        raise SchemaMismatch(f"--attr {attr!r} is not a declared sensitive column")
-    return partition_by_attribute(dataset, names.index(attr))
+    if args.joint:
+        return dataset, joint_partition(dataset, list(range(len(names))))
+    if args.attr is None:
+        return dataset, partition_by_attribute(dataset, 0)
+    if args.attr not in names:
+        raise SchemaMismatch(f"--attr {args.attr!r} is not a declared sensitive column")
+    return dataset, partition_by_attribute(dataset, names.index(args.attr))
+
+
+def _reportable(args, report):
+    """The report without its _WALL_CLOCK_FIELDS, unless --timings."""
+    if args.timings:
+        return report
+    if isinstance(report, dict):
+        return {k: v for k, v in report.items() if k not in _WALL_CLOCK_FIELDS}
+    return [_reportable(args, record) for record in report]
 
 
 def _emit(args, report) -> None:
+    report = _reportable(args, report)
     if args.out:
         write_report(report, args.out, args.format)
     else:
@@ -91,26 +126,17 @@ def _approx_params(args) -> ApproxParams:
 
 
 def cmd_dist(args) -> int:
-    schema = _schema_from_args(args)
-    dataset, _ = load_csv(args.input, schema)
-    partition = _partition_from_args(args, schema, dataset)
+    dataset, partition = _load(args, needs_predictions=False)
     source = LabelSource(args.label_source)
-    if args.method == "exact":
-        result = exact_set_distance(dataset, partition, source)
-    else:
-        result = approx_set_distance(dataset, partition, source, _approx_params(args))
-    _emit(args, result.to_record(include_timing=args.timings))
+    result = set_distance(dataset, partition, source, args.method, _approx_params(args))
+    _emit(args, result.to_record())
     return 0
 
 
 def cmd_hfm(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
         raise InvalidArgument("--alpha must lie in [0, 1]")
-    schema = _schema_from_args(args)
-    if schema.prediction_column is None:
-        raise SchemaMismatch("hfm requires --prediction")
-    dataset, _ = load_csv(args.input, schema)
-    partition = _partition_from_args(args, schema, dataset)
+    dataset, partition = _load(args, needs_predictions=True)
     d, d_f = hfm_distances(dataset, partition, args.method, _approx_params(args))
     value = hfm(d_f.value, d.value)
     record = {
@@ -130,18 +156,13 @@ def cmd_hfm(args) -> int:
         # inf (where (1 - alpha) * inf would be NaN)
         hfm_term = (1.0 - args.alpha) * abs(value) if args.alpha < 1.0 else 0.0
         record["combined_score"] = args.alpha * error_rate + hfm_term
-    if args.timings:
-        record["elapsed_ns"] = d.elapsed_ns + d_f.elapsed_ns
+    record["elapsed_ns"] = d.elapsed_ns + d_f.elapsed_ns
     _emit(args, record)
     return 0
 
 
 def cmd_group_metrics(args) -> int:
-    schema = _schema_from_args(args)
-    if schema.prediction_column is None:
-        raise SchemaMismatch("group-metrics requires --prediction")
-    dataset, _ = load_csv(args.input, schema)
-    partition = _partition_from_args(args, schema, dataset)
+    dataset, partition = _load(args, needs_predictions=True)
     record = {}
     for key, measure in (
         ("demographic_parity", demographic_parity),
@@ -149,7 +170,7 @@ def cmd_group_metrics(args) -> int:
         ("predictive_quality_parity", predictive_quality_parity),
     ):
         try:
-            record[key] = measure(dataset, partition, schema.positive_label)
+            record[key] = measure(dataset, partition, args.positive_label)
         except UndefinedRate:
             record[key] = "undefined"
     if dataset.predictions_flipped is not None:
@@ -161,10 +182,15 @@ def cmd_group_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    params = _approx_params(args)
     if args.input:
         schema = _schema_from_args(args)
         datasets = [(path, load_csv(path, schema)[0]) for path in args.input]
     else:
+        if args.count < 1:
+            raise InvalidArgument("--count must be at least 1")
+        if min(args.min_n, args.max_n) < 2:
+            raise InvalidArgument("--min-n and --max-n must be at least 2")
         sizes = np.unique(
             np.geomspace(args.min_n, args.max_n, args.count).round().astype(int)
         )
@@ -179,10 +205,9 @@ def cmd_bench(args) -> int:
                 with_predictions=args.with_predictions,
             )
             datasets.append((f"synth-{i:03d}", synth_dataset(spec)))
-    rows = run_comparison(datasets, _approx_params(args))
-    _emit(args, [row.to_record(include_timing=args.timings) for row in rows])
-    summary = summarize(rows, include_timing=args.timings)
-    sys.stdout.write(render_report(summary, "json"))
+    rows = run_comparison(datasets, params)
+    _emit(args, [asdict(row) for row in rows])
+    sys.stdout.write(render_report(_reportable(args, summarize(rows)), "json"))
     return 0
 
 
@@ -262,12 +287,11 @@ def cmd_verify_theory(args) -> int:
         v1, v2 = _theory_pair(rng, dim)
         check_pair(v1, v2, f"pair-{i}")
 
-    for n in _comma_list(args.grid_n):
-        for k in _comma_list(args.grid_k):
-            for alpha in _comma_list(args.grid_alpha):
-                n_i, k_i, alpha_f = int(n), int(k), float(alpha)
-                m2 = suggest_m2(n_i, k_i, args.m1, args.target_lambda)
-                bound = approximation_success_bound(n_i, k_i, args.mu, alpha_f, args.m1, m2)
+    for n in args.grid_n:
+        for k in args.grid_k:
+            for alpha in args.grid_alpha:
+                m2 = suggest_m2(n, k, args.m1, args.target_lambda)
+                bound = approximation_success_bound(n, k, args.mu, alpha, args.m1, m2)
                 add_row("success_bound", bound)
 
     _emit(args, rows)
@@ -331,11 +355,15 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_approx_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("approximation")
-    group.add_argument("--m1", type=int, default=25, help="projection trials (default 25)")
+    group.add_argument(
+        "--m1", type=int, default=DEFAULT_M1, help=f"projection trials (default {DEFAULT_M1})"
+    )
     group.add_argument(
         "--m2", type=int, default=None, help="neighbors per direction (default: 2*log10(n))"
     )
-    group.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    group.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument(
         "--max-dim", type=int, default=10, help="largest pair dimension (at least 2)"
     )
-    p_vt.add_argument("--seed", type=int, default=42)
-    p_vt.add_argument("--grid-n", default="1000,10000,100000")
-    p_vt.add_argument("--grid-k", default="3,9")
-    p_vt.add_argument("--grid-alpha", default="1,2")
+    p_vt.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_vt.add_argument("--grid-n", type=_list_of(int), default="1000,10000,100000")
+    p_vt.add_argument("--grid-k", type=_list_of(int), default="3,9")
+    p_vt.add_argument("--grid-alpha", type=_list_of(float), default="1,2")
     p_vt.add_argument("--mu", type=float, default=1.0)
-    p_vt.add_argument("--m1", type=int, default=25)
+    p_vt.add_argument("--m1", type=int, default=DEFAULT_M1)
     p_vt.add_argument("--target-lambda", type=float, default=8.0)
     _add_output_options(p_vt)
     p_vt.set_defaults(func=cmd_verify_theory)

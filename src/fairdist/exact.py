@@ -51,18 +51,16 @@ class DistanceResult:
         if self.method == "exact" and (self.m1, self.m2, self.seed) != (None, None, None):
             raise InvalidArgument("exact results carry no approximation parameters")
 
-    def to_record(self, include_timing: bool = True) -> dict:
-        record = {
+    def to_record(self) -> dict:
+        return {
             "value": self.value,
             "method": self.method,
             "label_source": self.label_source.value,
             "seed": self.seed,
             "m1": self.m1,
             "m2": self.m2,
+            "elapsed_ns": self.elapsed_ns,
         }
-        if include_timing:
-            record["elapsed_ns"] = self.elapsed_ns
-        return record
 
 
 def augmented_points(features: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -341,21 +341,25 @@ def format_real(value: float) -> str:
     return "%.17g" % value
 
 
-def _scalar_to_json(value) -> str:
+def _render_scalar(value, fmt: str) -> str:
+    """One report value as a JSON token (fmt "json") or a CSV cell (fmt
+    "csv"). Both formats render a real through format_real, so they agree
+    on every float."""
     if value is None:
-        return "null"
+        return "null" if fmt == "json" else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value) or math.isnan(value):
-            return '"%s"' % format_real(value)
-        return format_real(value)
-    if isinstance(value, str):
-        return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
-    raise InvalidArgument(f"cannot serialize value of type {type(value).__name__}")
+        text = format_real(float(value))
+        quote = math.isinf(value)  # JSON has no infinity literal
+    elif isinstance(value, str):
+        text = value.replace("\\", "\\\\").replace('"', '\\"') if fmt == "json" else value
+        quote = True
+    else:
+        raise InvalidArgument(f"cannot serialize value of type {type(value).__name__}")
+    return '"%s"' % text if quote and fmt == "json" else text
 
 
 def _to_json(value) -> str:
@@ -364,19 +368,7 @@ def _to_json(value) -> str:
         return "{%s}" % ", ".join(parts)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(_to_json(v) for v in value)
-    return _scalar_to_json(value)
-
-
-def _scalar_to_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format_real(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return _render_scalar(value, "json")
 
 
 def _as_records(report) -> tuple[list[dict], bool]:
@@ -414,7 +406,7 @@ def render_report(report, fmt: str = "json") -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(keys)
         for record in records:
-            writer.writerow([_scalar_to_cell(record[k]) for k in keys])
+            writer.writerow([_render_scalar(record[k], "csv") for k in keys])
         return buffer.getvalue()
     raise InvalidArgument(f"unknown report format {fmt!r}")
 

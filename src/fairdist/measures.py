@@ -17,7 +17,8 @@ are flipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .approx import ApproxParams, approx_set_distance, derived_seed
@@ -45,6 +46,22 @@ def hfm(d_f: float, d: float) -> float:
     return 0.0 if d_f == 0 else math.inf
 
 
+def set_distance(
+    dataset: LabeledDataset,
+    partition: GroupPartition,
+    source: LabelSource,
+    method: str = "exact",
+    params: ApproxParams | None = None,
+) -> DistanceResult:
+    """One between-group distance by `method`: "exact", which ignores
+    `params`, or "approx" with `params` (default ApproxParams())."""
+    if method == "exact":
+        return exact_set_distance(dataset, partition, source)
+    if method != "approx":
+        raise InvalidArgument(f"unknown distance method {method!r}")
+    return approx_set_distance(dataset, partition, source, params or ApproxParams())
+
+
 def hfm_distances(
     dataset: LabeledDataset,
     partition: GroupPartition,
@@ -60,27 +77,15 @@ def hfm_distances(
     """
     if dataset.predictions is None:
         raise MissingPredictions("HFM needs a prediction column")
-    if method == "exact":
-        return (
-            exact_set_distance(dataset, partition, LabelSource.TRUE_LABELS),
-            exact_set_distance(dataset, partition, LabelSource.PREDICTIONS),
-        )
-    if method != "approx":
-        raise InvalidArgument(f"unknown distance method {method!r}")
     params = params or ApproxParams()
-    d = approx_set_distance(
-        dataset,
-        partition,
-        LabelSource.TRUE_LABELS,
-        ApproxParams(params.m1, params.m2, derived_seed(params.seed, "D")),
+
+    def seeded(tag: str) -> ApproxParams:
+        return replace(params, seed=derived_seed(params.seed, tag))
+
+    return (
+        set_distance(dataset, partition, LabelSource.TRUE_LABELS, method, seeded("D")),
+        set_distance(dataset, partition, LabelSource.PREDICTIONS, method, seeded("Df")),
     )
-    d_f = approx_set_distance(
-        dataset,
-        partition,
-        LabelSource.PREDICTIONS,
-        ApproxParams(params.m1, params.m2, derived_seed(params.seed, "Df")),
-    )
-    return d, d_f
 
 
 @dataclass(frozen=True)

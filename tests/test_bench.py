@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestRunComparison:
 
     def test_csv_header_is_stable(self):
         rows = self.sweep()
-        text = render_report([r.to_record() for r in rows], "csv")
+        text = render_report([dataclasses.asdict(r) for r in rows], "csv")
         assert text.splitlines()[0] == (
             "dataset_id,n,n_x,n0,n1,label_source,m1,m2,seed,exact_value,approx_value,"
             "relative_difference,exact_ns,approx_ns,status,error"

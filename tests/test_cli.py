@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fairdist import cli
 from fairdist.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -104,6 +105,66 @@ class TestDist:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["label_source"] == "predictions"
+
+
+def test_m1_below_one_exits_three_for_both_methods(capsys):
+    # dist builds the approx parameters for exact runs too, as hfm does
+    for command in ("dist", "hfm"):
+        for method in ("exact", "approx"):
+            argv = [command, "--input", DIST6, *SCHEMA6, "--prediction", "yhat",
+                    "--method", method, "--m1", "0"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (3, ""), argv
+            assert "m1" in err
+
+
+WALL_CLOCK_FIELDS = ("elapsed_ns", "exact_ns", "approx_ns", "mean_speedup")
+BENCH = ["bench", "--count", "3", "--min-n", "40", "--max-n", "80", "--m1", "3",
+         "--with-predictions"]
+
+
+def stdout_records(out: str) -> list[dict]:
+    """Every record of a JSON stdout: one report (object or list) a line."""
+    records = []
+    for line in out.splitlines():
+        report = json.loads(line)
+        records.extend(report if isinstance(report, list) else [report])
+    return records
+
+
+class TestTimings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--input", DIST6, *SCHEMA6],
+            ["dist", "--input", DIST6, *SCHEMA6, "--method", "approx", "--m1", "3"],
+            ["hfm", "--input", GM12, *SCHEMA12, "--alpha", "0.3"],
+            ["hfm", "--input", GM12, *SCHEMA12, "--method", "approx", "--m1", "3"],
+            BENCH,  # the rows, then the summary line
+        ],
+    )
+    def test_timings_add_only_the_wall_clock_fields(self, capsys, argv):
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        code, timed, _ = run(capsys, [*argv, "--timings"])
+        assert code == 0
+        plain, timed = stdout_records(plain), stdout_records(timed)
+        assert [list(r.items()) for r in plain] == [
+            [(k, v) for k, v in r.items() if k not in WALL_CLOCK_FIELDS] for r in timed
+        ]
+        assert all(set(r) & set(WALL_CLOCK_FIELDS) for r in timed)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group-metrics", "--input", GM12, *SCHEMA12, "--prediction-flipped", "yhat_flip"],
+            ["verify-theory", "--pairs", "2", "--trials", "2000"],
+        ],
+    )
+    def test_timings_leave_untimed_reports_alone(self, capsys, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        assert run(capsys, argv) == run(capsys, [*argv, "--timings"])
 
 
 class TestHfm:
@@ -231,15 +292,26 @@ class TestBench:
 
     def test_default_stdout_is_reproducible(self, capsys):
         # the wall-clock mean_speedup only appears under --timings
-        argv = ["bench", "--count", "3", "--min-n", "40", "--max-n", "80", "--m1", "3",
-                "--with-predictions"]
-        first, second = run(capsys, argv), run(capsys, argv)
+        first, second = run(capsys, BENCH), run(capsys, BENCH)
         assert first == second
         assert first[0] == 0
         assert "mean_speedup" not in first[1]
-        code, out, _ = run(capsys, [*argv, "--timings"])
+        code, out, _ = run(capsys, [*BENCH, "--timings"])
         assert code == 0
         assert json.loads(out.splitlines()[-1])["mean_speedup"] > 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--count", "0"), ("--count", "-1"), ("--min-n", "0"), ("--min-n", "1"), ("--max-n", "1")],
+    )
+    def test_sweep_bounds_exit_three_before_any_dataset(self, capsys, monkeypatch, flag, value):
+        def built(spec):
+            pytest.fail(f"a dataset was built for {spec}")
+
+        monkeypatch.setattr(cli, "synth_dataset", built)
+        code, out, err = run(capsys, [*BENCH, flag, value])
+        assert (code, out) == (3, "")
+        assert flag in err
 
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")
@@ -272,6 +344,18 @@ class TestVerifyTheory:
             assert b["failure_exponent"] == pytest.approx(
                 failure_exponent(b["n"], b["k"], b["m1"], b["m2"]), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "flag, cells",
+        [("--grid-n", "1000,abc"), ("--grid-n", "1e3"), ("--grid-k", "3,x"), ("--grid-alpha", "x")],
+    )
+    def test_grid_cell_of_the_wrong_type_is_a_usage_error(self, capsys, flag, cells):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theory", "--pairs", "1", flag, cells])
+        assert exc.value.code == 2  # argparse's usage error, as for --m1 abc
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}:" in err and repr(cells) in err
 
     def test_max_dim_below_two_exits_three(self, capsys):
         code, out, err = run(capsys, ["verify-theory", "--pairs", "2", "--max-dim", "1"])

@@ -23,7 +23,7 @@ from fairdist.errors import (
     MissingPredictions,
     UndefinedRate,
 )
-from fairdist.measures import compute_group_rates
+from fairdist.measures import compute_group_rates, set_distance
 
 from conftest import PRED, TRUE, make_dataset, random_grouped_dataset
 
@@ -104,6 +104,24 @@ class TestHfmEndToEnd:
         ds = LabeledDataset(ds.features, ds.sensitive, ds.labels, ds.labels)
         with pytest.raises(InvalidArgument):
             hfm_distances(ds, part, "tree")
+        with pytest.raises(InvalidArgument):
+            set_distance(ds, part, TRUE, "tree")
+
+    def test_set_distance_is_the_direct_call(self, rng):
+        # the switch adds nothing: each method's value is its function's,
+        # bit for bit, on both label sources
+        for i in range(20):
+            ds = random_grouped_dataset(rng)
+            part = partition_by_attribute(ds, 0)
+            params = ApproxParams(m1=3, m2=2, seed=i)
+            for source in (TRUE, PRED):
+                exact = exact_set_distance(ds, part, source)
+                approx = approx_set_distance(ds, part, source, params)
+                got = set_distance(ds, part, source, "exact", params)
+                assert (got.value.hex(), got.method) == (exact.value.hex(), "exact")
+                got = set_distance(ds, part, source, "approx", params)
+                assert (got.value.hex(), got.method) == (approx.value.hex(), "approx")
+                assert (got.m1, got.m2, got.seed) == (approx.m1, approx.m2, approx.seed)
 
     def test_approx_within_propagated_error(self, rng):
         # both approximate distances overestimate, so the approximate HFM
