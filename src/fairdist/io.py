@@ -341,25 +341,18 @@ def format_real(value: float) -> str:
     return "%.17g" % value
 
 
-def _render_scalar(value, fmt: str) -> str:
-    """One report value as a JSON token (fmt "json") or a CSV cell (fmt
-    "csv"). Both formats render a real through format_real, so they agree
-    on every float."""
+def _cell(value) -> str:
+    """One report value as a CSV cell. _to_json writes the same text and
+    adds only JSON's syntax, so the two formats agree on every value."""
     if value is None:
-        return "null" if fmt == "json" else ""
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        text = format_real(float(value))
-        quote = math.isinf(value)  # JSON has no infinity literal
-    elif isinstance(value, str):
-        text = value.replace("\\", "\\\\").replace('"', '\\"') if fmt == "json" else value
-        quote = True
-    else:
-        raise InvalidArgument(f"cannot serialize value of type {type(value).__name__}")
-    return '"%s"' % text if quote and fmt == "json" else text
+        return format_real(float(value))
+    return str(value)
 
 
 def _to_json(value) -> str:
@@ -368,7 +361,15 @@ def _to_json(value) -> str:
         return "{%s}" % ", ".join(parts)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(_to_json(v) for v in value)
-    return _render_scalar(value, "json")
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidArgument(f"cannot serialize value of type {type(value).__name__}")
+    text = _cell(value)
+    # JSON has no infinity literal
+    return '"%s"' % text if text in ("inf", "-inf") else text
 
 
 def _as_records(report) -> tuple[list[dict], bool]:
@@ -406,7 +407,7 @@ def render_report(report, fmt: str = "json") -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(keys)
         for record in records:
-            writer.writerow([_render_scalar(record[k], "csv") for k in keys])
+            writer.writerow([_cell(record[k]) for k in keys])
         return buffer.getvalue()
     raise InvalidArgument(f"unknown report format {fmt!r}")
 

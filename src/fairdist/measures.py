@@ -50,16 +50,16 @@ def set_distance(
     dataset: LabeledDataset,
     partition: GroupPartition,
     source: LabelSource,
-    method: str = "exact",
-    params: ApproxParams | None = None,
+    method: str,
+    params: ApproxParams | None,
 ) -> DistanceResult:
     """One between-group distance by `method`: "exact", which ignores
-    `params`, or "approx" with `params` (default ApproxParams())."""
+    `params`, or "approx" with `params`."""
     if method == "exact":
         return exact_set_distance(dataset, partition, source)
     if method != "approx":
         raise InvalidArgument(f"unknown distance method {method!r}")
-    return approx_set_distance(dataset, partition, source, params or ApproxParams())
+    return approx_set_distance(dataset, partition, source, params)
 
 
 def hfm_distances(

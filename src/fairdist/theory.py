@@ -208,8 +208,7 @@ def estimate_scaled_density(
     For each trial radius r the sparsest ball centered at a data point is
     found (count / volume); the best radius gives the density, which is
     then normalized by the volume of a ball of radius d. The radius grid
-    defaults to a geometric sweep of [d/4, 4d]. The ball counts come from
-    one k-d tree, so memory stays linear in the number of points.
+    defaults to a geometric sweep of [d/4, 4d].
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) < 1:
@@ -221,22 +220,18 @@ def estimate_scaled_density(
     radii = np.asarray(radii, dtype=np.float64)
     if (radii <= 0.0).any():
         raise InvalidArgument("radii must be positive")
-    # imported here: scipy.spatial dominates the package's import time
-    from scipy.spatial import cKDTree
-
-    dim = points.shape[1]
-    tree = cKDTree(points)
+    n, dim = points.shape
+    # neighbour counts per radius, one block of rows at a time: the pair
+    # differences of a block hold at most about 2^20 floats
+    counts = np.empty((len(radii), n), dtype=np.int64)
+    rows = max(1, (1 << 20) // (n * max(dim, 1)))
+    for i in range(0, n, rows):
+        diff = points[i : i + rows, None, :] - points[None, :, :]
+        pairwise = np.sqrt((diff * diff).sum(axis=2))
+        for j, r in enumerate(radii):
+            counts[j, i : i + rows] = (pairwise <= r).sum(axis=1)
     best = 0.0
-    for r in radii:
-        # a neighbour counts when sqrt(squared distance) <= r. The tree
-        # compares the squared distance with r**2 instead, which can
-        # decide otherwise within a few ulps of r, so rows whose counts
-        # differ across a 1e-9 band around r are counted row by row.
-        count = tree.query_ball_point(points, r * (1 - 1e-9), return_length=True)
-        upper = tree.query_ball_point(points, r * (1 + 1e-9), return_length=True)
-        for i in np.flatnonzero(count != upper):
-            diff = points[i] - points
-            count[i] = np.count_nonzero(np.sqrt((diff * diff).sum(axis=1)) <= r)
+    for r, count in zip(radii, counts):
         density = count.min() / _unit_ball_volume(dim) / r**dim
         best = max(best, float(density))
     return best * _unit_ball_volume(dim) * d**dim

@@ -105,7 +105,7 @@ class TestHfmEndToEnd:
         with pytest.raises(InvalidArgument):
             hfm_distances(ds, part, "tree")
         with pytest.raises(InvalidArgument):
-            set_distance(ds, part, TRUE, "tree")
+            set_distance(ds, part, TRUE, "tree", ApproxParams())
 
     def test_set_distance_is_the_direct_call(self, rng):
         # the switch adds nothing: each method's value is its function's,

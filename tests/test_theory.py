@@ -196,11 +196,8 @@ class TestScaledDensity:
             estimate_scaled_density(np.zeros((2, 2)), d=1.0, radii=np.array([0.5, 0.0]))
 
     def test_matches_dense_formula(self, rng):
-        # these two points are 0.25000000000000006 apart squared, and the
-        # square root of that rounds to 0.5: each has 2 points in its ball
-        points, radii = np.array([[0.0, 0.1], [0.4, 0.4]]), np.array([0.5])
-        got = estimate_scaled_density(points, 0.5, radii)
-        assert got.hex() == dense_scaled_density(points, 0.5, radii).hex()
+        # up to n = 1,100 rows, so the larger clouds span several row
+        # blocks and end in a partial one
         for n in (1, 2, 7, 60, 600, 1100):
             for dim in (1, 2, 4):
                 # rounding to a grid puts pairs exactly on the radius
