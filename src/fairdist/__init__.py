@@ -2,11 +2,12 @@
 
 The library measures the between-group distance of a dataset twice, once
 from the true labels and once from a classifier's predictions, and
-reports the ratio minus one (the harmonic fairness measure). An exact
-O(n0*n1) computation serves as ground truth; a sorted random-projection
-scan approximates it in O(n log n). Standard group measures (demographic
-parity, equal opportunity, predictive quality parity, discriminative
-risk) and a CLI round out the package.
+reports the ratio minus one (the harmonic fairness measure). The exact
+distance comes from label-stratified k-d trees, equal bit for bit to the
+O(n0*n1) brute-force baseline `exact_set_distance`; a sorted
+random-projection scan approximates it in O(n log n). Standard group
+measures (demographic parity, equal opportunity, predictive quality
+parity, discriminative risk) and a CLI round out the package.
 
 This module exports the public API the README documents. The validation
 toolkit for the projection bounds lives in `fairdist.theory`, the

@@ -52,6 +52,8 @@ class SynthSpec:
             raise InvalidArgument("n_c must be at least 2")
         if self.cluster_separation < 0.0:
             raise InvalidArgument("cluster_separation must be nonnegative")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be a nonnegative integer")
 
 
 def synth_dataset(spec: SynthSpec) -> LabeledDataset:

@@ -224,6 +224,18 @@ def _theory_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.nda
 def cmd_verify_theory(args) -> int:
     if args.max_dim < 2:
         raise InvalidArgument("--max-dim must be at least 2")
+    if args.pairs < 0:
+        raise InvalidArgument("--pairs must be nonnegative")
+    # computed first: the bounds check the grid values, so a bad one
+    # stops the command before any Monte Carlo run
+    bounds = [
+        approximation_success_bound(
+            n, k, args.mu, alpha, args.m1, suggest_m2(n, k, args.m1, args.target_lambda)
+        )
+        for n in args.grid_n
+        for k in args.grid_k
+        for alpha in args.grid_alpha
+    ]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     # both record kinds share one header (the CSV report has a single
     # one); a field a kind does not have stays None
@@ -287,12 +299,8 @@ def cmd_verify_theory(args) -> int:
         v1, v2 = _theory_pair(rng, dim)
         check_pair(v1, v2, f"pair-{i}")
 
-    for n in args.grid_n:
-        for k in args.grid_k:
-            for alpha in args.grid_alpha:
-                m2 = suggest_m2(n, k, args.m1, args.target_lambda)
-                bound = approximation_success_bound(n, k, args.mu, alpha, args.m1, m2)
-                add_row("success_bound", bound)
+    for bound in bounds:
+        add_row("success_bound", bound)
 
     _emit(args, rows)
     checks = sum(1 for row in rows if row["kind"] == "projection_check")

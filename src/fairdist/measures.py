@@ -30,7 +30,7 @@ from .errors import (
     MissingPredictions,
     UndefinedRate,
 )
-from .exact import DistanceResult, exact_set_distance
+from .exact import DistanceResult, tree_set_distance
 
 
 def hfm(d_f: float, d: float) -> float:
@@ -54,9 +54,10 @@ def set_distance(
     params: ApproxParams | None,
 ) -> DistanceResult:
     """One between-group distance by `method`: "exact", which ignores
-    `params`, or "approx" with `params`."""
+    `params` and takes the k-d tree route (`tree_set_distance`, equal bit
+    for bit to `exact_set_distance`), or "approx" with `params`."""
     if method == "exact":
-        return exact_set_distance(dataset, partition, source)
+        return tree_set_distance(dataset, partition, source)
     if method != "approx":
         raise InvalidArgument(f"unknown distance method {method!r}")
     return approx_set_distance(dataset, partition, source, params)

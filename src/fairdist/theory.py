@@ -147,9 +147,10 @@ def approximation_success_bound(
     """
     if n < 1 or k < 1 or m1 < 1 or m2 < 1:
         raise InvalidArgument("n, k, m1 and m2 must be positive integers")
-    if mu <= 0.0:
+    # written so that NaN fails them too
+    if not mu > 0.0:
         raise InvalidArgument("mu must be positive")
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidArgument("alpha must be >= 1")
     volume = _unit_ball_volume(k + 1)
     factor = math.pi * mu / (m2 * volume)

@@ -45,6 +45,8 @@ class TestSynthDataset:
         with pytest.raises(InvalidArgument):
             SynthSpec(n=10, group_fraction=0.0)
         with pytest.raises(InvalidArgument):
+            SynthSpec(n=10, seed=-1)
+        with pytest.raises(InvalidArgument):
             synth_dataset(SynthSpec(n=10, group_fraction=0.01))
 
 

@@ -313,6 +313,11 @@ class TestBench:
         assert (code, out) == (3, "")
         assert flag in err
 
+    def test_negative_data_seed_exits_three(self, capsys):
+        code, out, err = run(capsys, [*BENCH, "--data-seed", "-1"])
+        assert (code, out) == (3, "")
+        assert err == "computation error: seed must be a nonnegative integer\n"
+
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")
         argv = ["bench", "--count", "6", "--min-n", "40", "--max-n", "200",
@@ -356,6 +361,21 @@ class TestVerifyTheory:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}:" in err and repr(cells) in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--grid-alpha", "2,nan", "alpha must be >= 1"), ("--pairs", "-1", "--pairs")],
+    )
+    def test_out_of_range_exits_three_before_any_check(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def checked(*args):
+            pytest.fail("a Monte Carlo check ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_projection_probability", checked)
+        code, out, err = run(capsys, ["verify-theory", "--pairs", "2", flag, value])
+        assert (code, out) == (3, "")
+        assert message in err
 
     def test_max_dim_below_two_exits_three(self, capsys):
         code, out, err = run(capsys, ["verify-theory", "--pairs", "2", "--max-dim", "1"])

@@ -108,8 +108,8 @@ class TestHfmEndToEnd:
             set_distance(ds, part, TRUE, "tree", ApproxParams())
 
     def test_set_distance_is_the_direct_call(self, rng):
-        # the switch adds nothing: each method's value is its function's,
-        # bit for bit, on both label sources
+        # the switch adds nothing: exact gives brute force's value and
+        # approx its function's, bit for bit, on both label sources
         for i in range(20):
             ds = random_grouped_dataset(rng)
             part = partition_by_attribute(ds, 0)

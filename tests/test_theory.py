@@ -143,6 +143,10 @@ class TestSuccessBound:
             approximation_success_bound(10, 3, -1.0, 1.0, 25, 9)
         with pytest.raises(InvalidArgument):
             approximation_success_bound(10, 3, 1.0, 0.5, 25, 9)
+        with pytest.raises(InvalidArgument):
+            approximation_success_bound(10, 3, 1.0, float("nan"), 25, 9)
+        with pytest.raises(InvalidArgument):
+            approximation_success_bound(10, 3, float("nan"), 1.0, 25, 9)
 
 
 class TestFailureExponent:
