@@ -17,6 +17,7 @@ are flipped.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,6 +76,12 @@ def hfm_distances(
     The approx runs draw their projection directions from independent
     streams, derived from the master seed of `params` with the tags "D"
     and "Df"; exact ignores `params`.
+
+    The two distances share only read-only inputs, so d_f is computed on a
+    worker thread while the calling thread computes d; numpy releases the
+    GIL in the sorts, gathers and reductions that dominate both. Each
+    result is the same bits as a sequential call. If both calls raise,
+    d's exception is the one raised.
     """
     if dataset.predictions is None:
         raise MissingPredictions("HFM needs a prediction column")
@@ -83,10 +90,26 @@ def hfm_distances(
     def seeded(tag: str) -> ApproxParams:
         return replace(params, seed=derived_seed(params.seed, tag))
 
-    return (
-        set_distance(dataset, partition, LabelSource.TRUE_LABELS, method, seeded("D")),
-        set_distance(dataset, partition, LabelSource.PREDICTIONS, method, seeded("Df")),
-    )
+    outcome: list[DistanceResult | BaseException] = []
+
+    def predictions_distance() -> None:
+        try:
+            outcome.append(
+                set_distance(dataset, partition, LabelSource.PREDICTIONS, method, seeded("Df"))
+            )
+        except BaseException as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=predictions_distance, name="fairdist-hfm-df")
+    worker.start()
+    try:
+        d = set_distance(dataset, partition, LabelSource.TRUE_LABELS, method, seeded("D"))
+    finally:
+        worker.join()
+    (d_f,) = outcome
+    if isinstance(d_f, BaseException):
+        raise d_f
+    return d, d_f
 
 
 @dataclass(frozen=True)

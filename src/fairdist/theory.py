@@ -188,12 +188,19 @@ def failure_exponent(n: int, k: int, m1: int, m2: int) -> float:
 def suggest_m2(n: int, k: int, m1: int, target_lambda: float) -> int:
     """Smallest neighbor window m2 whose failure exponent reaches
     target_lambda."""
-    if target_lambda < 0.0:
-        raise InvalidArgument("target_lambda must be nonnegative")
+    # written so that NaN fails it too
+    if not 0.0 <= target_lambda < math.inf:
+        raise InvalidArgument("target_lambda must be a finite nonnegative number")
     if n < 1 or k < 1 or m1 < 1:
         raise InvalidArgument("n, k and m1 must be positive integers")
     # closed-form inverse, then nudge for float error
-    candidate = max(1, math.ceil(10.0 ** (target_lambda / m1 + math.log10(n) / (k + 1))))
+    try:
+        closed_form = 10.0 ** (target_lambda / m1 + math.log10(n) / (k + 1))
+    except OverflowError:
+        raise InvalidArgument(
+            f"target_lambda {target_lambda} is too large for m1={m1}: m2 would overflow"
+        ) from None
+    candidate = max(1, math.ceil(closed_form))
     while candidate > 1 and failure_exponent(n, k, m1, candidate - 1) >= target_lambda:
         candidate -= 1
     while failure_exponent(n, k, m1, candidate) < target_lambda:

@@ -17,6 +17,7 @@ from fairdist import (
 from fairdist import approx as approx_module
 from fairdist.approx import (
     ProjectionVector,
+    _sort_order,
     _trial_rng,
     default_m2,
     derived_seed,
@@ -285,6 +286,115 @@ class TestPrunedScanMatchesFullScan:
                 w = sample_l1_unit_vector(1 + ds.n_features, trial_rng(int(seeds[i]), j))
                 got = projection_scan_distance(ds, part, source, w, m2)
                 assert got.hex() == full_scan_trial(ds, part, source, w, m2).hex(), (i, j)
+
+
+def tie_heavy_dataset(kind):
+    """A dataset whose projections tie often, large enough that the
+    default sort reorders tied rows. Exact duplicates tie along every
+    direction; rows one or two ulps apart also tie along most
+    directions, once the products round, but are not interchangeable."""
+    gen = np.random.Generator(np.random.PCG64(20261018))
+    n = 600
+    sensitive = gen.integers(0, 2, size=n)
+    labels = gen.integers(1, 3, size=n)
+    predictions = gen.integers(1, 3, size=n)
+    duplicated = gen.uniform(0.0, 1.0, size=(60, 2))[gen.integers(0, 60, size=n)]
+    if kind == "binary":
+        features = gen.integers(0, 2, size=(n, 3)).astype(float)
+    elif kind == "duplicated":
+        features = duplicated
+    elif kind == "ulp-apart":
+        steps = gen.integers(0, 3, size=duplicated.shape)
+        features = duplicated
+        for step in (1, 2):
+            features = np.where(steps >= step, np.nextafter(features, 2.0), features)
+    else:  # "zero-columns"
+        rounded = np.round(gen.uniform(0.0, 1.0, size=n), 1)
+        features = np.column_stack([np.zeros(n), rounded, np.zeros(n)])
+    return make_dataset(features, sensitive, labels, predictions)
+
+
+TIE_HEAVY = ["binary", "duplicated", "ulp-apart", "zero-columns"]
+
+
+class TestSortOrder:
+    """The fast sort must return the stable sort's permutation exactly:
+    tied rows keep their original order."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.full(1000, 0.5),
+            np.repeat(np.linspace(0.0, 1.0, 50), 20)[::-1].copy(),
+            np.tile([0.0, -0.0, 0.25], 400),
+            np.array([0.0, -0.0]),
+            np.array([-0.0, 0.0]),
+            np.array([3.0]),
+            np.array([]),
+            np.array([0.5, np.nan, 0.1, np.nan, 0.5] * 100),
+            np.random.Generator(np.random.PCG64(1)).uniform(size=5000),
+        ],
+        ids=[
+            "all-equal", "runs-of-ties", "signed-zeros", "0,-0", "-0,0",
+            "length-1", "empty", "nan", "distinct",
+        ],
+    )
+    def test_equals_stable_sort(self, values):
+        np.testing.assert_array_equal(_sort_order(values), np.argsort(values, kind="stable"))
+
+    def test_shuffled_ties_equal_stable_sort(self):
+        gen = np.random.Generator(np.random.PCG64(2))
+        for size in (17, 100, 1000, 50_000):
+            values = gen.permutation(np.repeat(gen.uniform(size=size // 4 + 1), 4)[:size])
+            np.testing.assert_array_equal(_sort_order(values), np.argsort(values, kind="stable"))
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), max_size=400))
+    def test_equals_stable_sort_on_few_values(self, values):
+        values = np.array(values, dtype=np.float64)
+        np.testing.assert_array_equal(_sort_order(values), np.argsort(values, kind="stable"))
+
+
+class TestTieHeavyApprox:
+    """approx_set_distance against the frozen stable-sort scan on data
+    where nearly every projection ties with another row's."""
+
+    @pytest.mark.parametrize("kind", TIE_HEAVY)
+    def test_hex_equal_to_full_scan(self, kind):
+        dataset = tie_heavy_dataset(kind)
+        partition = partition_by_attribute(dataset, 0)
+        for source in (TRUE, PRED):
+            for m2 in (1, 3, default_m2(dataset.n)):
+                for seed in (0, 11):
+                    got = approx_set_distance(dataset, partition, source, ApproxParams(5, m2, seed))
+                    want = full_scan_approx(dataset, partition, source, 5, m2, seed)
+                    assert got.value.hex() == want.hex(), (source, m2, seed)
+
+    @pytest.mark.parametrize("kind", TIE_HEAVY)
+    def test_hfm_distances_hex_equal_to_full_scan(self, kind):
+        # the two distances run on two threads, each on its derived seed
+        dataset = tie_heavy_dataset(kind)
+        partition = partition_by_attribute(dataset, 0)
+        for m2 in (1, 3, None):
+            d, d_f = hfm_distances(dataset, partition, "approx", ApproxParams(5, m2, 9))
+            for got, source, tag in ((d, TRUE, "D"), (d_f, PRED, "Df")):
+                want = full_scan_approx(
+                    dataset, partition, source, 5, got.m2, derived_seed(9, tag)
+                )
+                assert got.value.hex() == want.hex(), (tag, m2)
+
+    @pytest.mark.parametrize("kind", TIE_HEAVY)
+    def test_axis_trials_hex_equal_to_full_scan(self, kind):
+        # an axis direction ties every row that shares that coordinate
+        dataset = tie_heavy_dataset(kind)
+        partition = partition_by_attribute(dataset, 0)
+        dim = 1 + dataset.n_features
+        for axis in range(dim):
+            w = ProjectionVector(np.eye(dim)[axis])
+            for m2 in (1, 3):
+                got = projection_scan_distance(dataset, partition, TRUE, w, m2)
+                want = full_scan_trial(dataset, partition, TRUE, w, m2)
+                assert got.hex() == want.hex(), (axis, m2)
 
 
 class TestDistanceProperties:

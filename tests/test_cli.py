@@ -34,15 +34,26 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy.spatial dominates the import time; only the exact route needs it
+def loaded_after_cli_import(module: str) -> bool:
+    """Whether `import fairdist.cli` in a fresh interpreter loads `module`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fairdist.cli; print('scipy' in sys.modules)"
+    code = f"import sys, fairdist.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.spatial dominates the import time; only the exact route needs it
+    assert not loaded_after_cli_import("scipy")
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # hfm_distances runs its worker on a plain threading.Thread:
+    # concurrent.futures would pull in logging at import time
+    assert not loaded_after_cli_import("concurrent.futures")
 
 
 class TestDist:
@@ -376,6 +387,20 @@ class TestVerifyTheory:
         code, out, err = run(capsys, ["verify-theory", "--pairs", "2", flag, value])
         assert (code, out) == (3, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "finite nonnegative"), ("inf", "finite nonnegative"), ("1e6", "overflow")],
+    )
+    def test_target_lambda_out_of_range_exits_three(self, capsys, monkeypatch, value, message):
+        def checked(*args):
+            pytest.fail("a Monte Carlo check ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_projection_probability", checked)
+        argv = ["verify-theory", "--pairs", "2", "--target-lambda", value]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "target_lambda" in err and message in err
 
     def test_max_dim_below_two_exits_three(self, capsys):
         code, out, err = run(capsys, ["verify-theory", "--pairs", "2", "--max-dim", "1"])

@@ -1,4 +1,6 @@
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from fairdist.errors import (
     MissingPredictions,
     UndefinedRate,
 )
+from fairdist import measures
+from fairdist.approx import derived_seed
 from fairdist.measures import compute_group_rates, set_distance
 
 from conftest import PRED, TRUE, make_dataset, random_grouped_dataset
@@ -147,6 +151,85 @@ class TestHfmEndToEnd:
             assert d_f / d_hat - 1 - 1e-9 <= got <= d_f_hat / d - 1 + 1e-9
             checked += 1
         assert checked >= 30
+
+
+class TestHfmDistancesThreads:
+    """hfm_distances computes d_f on a worker thread while the caller
+    computes d; the results, errors and thread count must be those of two
+    sequential set_distance calls."""
+
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_equal_to_sequential_calls(self, rng, method):
+        for i in range(15):
+            ds = random_grouped_dataset(rng, n_lo=10, n_hi=300)
+            part = partition_by_attribute(ds, 0)
+            params = ApproxParams(m1=4, m2=1 + i % 3, seed=i)
+            d, d_f = hfm_distances(ds, part, method, params)
+            for got, source, tag in ((d, TRUE, "D"), (d_f, PRED, "Df")):
+                seeded = replace(params, seed=derived_seed(i, tag))
+                want = set_distance(ds, part, source, method, seeded)
+                assert got.value.hex() == want.value.hex(), (i, tag)
+                assert (got.method, got.label_source, got.m1, got.m2, got.seed) == (
+                    want.method, source, want.m1, want.m2, want.seed,
+                )
+
+    def failing(self, monkeypatch, raising):
+        """Patch set_distance so that the calls for the sources in
+        `raising` raise an InvalidArgument naming their source; D's call
+        raises only after Df's has."""
+        real = measures.set_distance
+        df_done = threading.Event()
+
+        def fake(dataset, partition, source, method, params):
+            try:
+                if source == TRUE:
+                    assert df_done.wait(10)
+                if source in raising:
+                    raise InvalidArgument(source.name)
+                return real(dataset, partition, source, method, params)
+            finally:
+                if source == PRED:
+                    df_done.set()
+
+        monkeypatch.setattr(measures, "set_distance", fake)
+
+    @pytest.mark.parametrize(
+        "raising, winner",
+        [((PRED,), PRED.name), ((TRUE, PRED), TRUE.name)],
+        ids=["df-raises", "both-raise"],
+    )
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_errors_reach_the_caller(self, monkeypatch, rng, method, raising, winner):
+        ds = random_grouped_dataset(rng)
+        part = partition_by_attribute(ds, 0)
+        self.failing(monkeypatch, raising)
+        threads = threading.active_count()
+        with pytest.raises(InvalidArgument) as exc:
+            hfm_distances(ds, part, method, ApproxParams(m1=3))
+        assert str(exc.value) == winner
+        assert threading.active_count() == threads
+
+    def test_no_thread_left_after_a_result(self, rng):
+        ds = random_grouped_dataset(rng)
+        part = partition_by_attribute(ds, 0)
+        threads = threading.active_count()
+        for method in ("exact", "approx"):
+            hfm_distances(ds, part, method, ApproxParams(m1=3))
+            assert threading.active_count() == threads
+
+    def test_the_two_distances_overlap(self, monkeypatch, rng):
+        # each call waits at a two-party barrier: sequential calls would
+        # leave the first one waiting alone until its timeout
+        barrier = threading.Barrier(2, timeout=10)
+        real = measures.set_distance
+
+        def meeting(*args):
+            barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(measures, "set_distance", meeting)
+        ds = random_grouped_dataset(rng)
+        hfm_distances(ds, partition_by_attribute(ds, 0), "approx", ApproxParams(m1=3))
 
 
 class TestGroupMeasures:

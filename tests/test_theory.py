@@ -184,6 +184,17 @@ class TestSuggestM2:
         values = [suggest_m2(10_000, 3, 25, t) for t in (0.0, 2.0, 5.0, 9.0)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -0.5, 1e6])
+    def test_out_of_range_target_rejected(self, target):
+        with pytest.raises(InvalidArgument, match="target_lambda"):
+            suggest_m2(10_000, 3, 25, target)
+
+    def test_overflow_limit_depends_on_m1(self):
+        # 10 ** (1e4 / 25 + 1) overflows a float, 10 ** (1e4 / 1e4 + 1) does not
+        with pytest.raises(InvalidArgument, match="overflow"):
+            suggest_m2(10_000, 3, 25, 1e4)
+        assert suggest_m2(10_000, 3, 10_000, 1e4) == 100
+
 
 class TestScaledDensity:
     def test_uniform_grid_sanity(self):
