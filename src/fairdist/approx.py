@@ -209,15 +209,21 @@ def _sort_order(projected: np.ndarray) -> np.ndarray:
 
     The default sort is several times faster than the stable one. When its
     sorted values are strictly increasing, every value is distinct and the
-    stable order is the only sorted order, so it is returned as is. Ties,
-    -0.0 next to 0.0 and NaN all fail the strict test and take the stable
-    sort.
+    stable order is the only sorted order, so it is returned as is. Ties
+    (-0.0 next to 0.0 among them) are put in row order inside each run of
+    equal sorted values, by one sort of the unique keys run * n + row.
+    NaN sorts last, where the strict test cannot tell its runs apart, so
+    it takes the stable sort.
     """
     order = np.argsort(projected)
     ranked = projected[order]
-    if (ranked[1:] > ranked[:-1]).all():
+    rises = ranked[1:] > ranked[:-1]
+    if rises.all():
         return order
-    return np.argsort(projected, kind="stable")
+    if np.isnan(ranked[-1]):
+        return np.argsort(projected, kind="stable")
+    runs = np.concatenate(([0], np.cumsum(rises)))
+    return order[np.argsort(runs * len(order) + order)]
 
 
 class _WindowScan:

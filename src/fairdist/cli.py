@@ -126,8 +126,8 @@ def _approx_params(args) -> ApproxParams:
 
 
 def cmd_dist(args) -> int:
-    dataset, partition = _load(args, needs_predictions=False)
     source = LabelSource(args.label_source)
+    dataset, partition = _load(args, needs_predictions=source is LabelSource.PREDICTIONS)
     result = set_distance(dataset, partition, source, args.method, _approx_params(args))
     _emit(args, result.to_record())
     return 0

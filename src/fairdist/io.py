@@ -8,9 +8,16 @@ imputed: silently filling values would change distances.
 
 A file is read in one streaming pass: rows are taken CHUNK_ROWS at a time
 and converted column by column, so the memory a read needs is one
-chunk's strings plus the output arrays. `load_csv` reads every column a
-schema names, the disturbed-prediction column included, in that one
-pass; `read_int_column` reads a single column through the same reader.
+chunk's strings plus the output arrays. The header is read by
+csv.reader. After it, a chunk of lines with no quote, carriage return or
+NUL, no line over csv.field_size_limit() and the header's number of
+commas on every line is split on commas in one go, which gives exactly
+the cells csv.reader would. The first chunk that is not so (a quoted
+cell, CRLF line ends, a ragged or blank line) and the rest of the file
+go through csv.reader, with the same values, errors and line numbers.
+`load_csv` reads every column a schema names, the disturbed-prediction
+column included, in that one pass; `read_int_column` reads a single
+column through the same reader.
 
 Reports are written with a fixed field order and reals rendered with 17
 significant digits, so identical records always produce byte-identical
@@ -23,8 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice, repeat, starmap
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -166,16 +172,70 @@ def _undecodable_line(path: str) -> int:
     return line
 
 
-def _next_rows(reader, count: int, path: str) -> list[list[str]]:
-    """Up to `count` further rows; bytes that are not UTF-8 and cells
-    the csv module rejects (such as one over its field size limit) are
-    reported as a ParseError at their line."""
+def _next_rows(source, count: int, path: str, lines_before: int = 0) -> list:
+    """Up to `count` further items of a file handle (lines) or a
+    csv.reader (rows); bytes that are not UTF-8 and cells the csv module
+    rejects (such as one over its field size limit) are reported as a
+    ParseError at their line. `lines_before` counts the physical lines
+    read before a reader's first."""
     try:
-        return list(islice(reader, count))
+        return list(islice(source, count))
     except UnicodeDecodeError:
         raise ParseError(_undecodable_line(path), "", "bytes are not valid UTF-8") from None
     except csv.Error as exc:
-        raise ParseError(reader.line_num, "", str(exc)) from None
+        raise ParseError(source.line_num + lines_before, "", str(exc)) from None
+
+
+def _chunks(handle, width: int, lines_before: int, path: str):
+    """The records after the header, CHUNK_ROWS at a time, as
+    (first_line, cells, rows): `cells` lists a chunk's cells row after
+    row, or is None when its `rows` differ in width.
+
+    Chunks of physical lines are split on commas while csv.reader would
+    return exactly line.split(","): no quote, carriage return or NUL, no
+    line over the field size limit, and `width - 1` commas on every line
+    (a one-column table could not tell a blank line, which csv.reader
+    reads as no cells, from an empty cell). The first chunk that fails
+    the test and the rest of the file go through csv.reader.
+    """
+    limit = csv.field_size_limit()
+    line = 2
+    while True:
+        lines = _next_rows(handle, CHUNK_ROWS, path)
+        if not lines:
+            return
+        text = ",".join(lines)
+        if not (
+            width > 1
+            and '"' not in text
+            and "\r" not in text
+            and "\0" not in text
+            and max(map(len, lines)) <= limit
+            and set(map(str.count, lines, repeat(","))) == {width - 1}
+        ):
+            break
+        m = len(lines)
+        del lines
+        # joined by commas, each line's "\n" sits before the next
+        # line's first cell, so dropping it leaves the cells alone
+        text = text.replace("\n", "")
+        cells = text.split(",")
+        del text
+        yield line, cells, None
+        del cells  # drop this chunk's strings before reading the next
+        line += m
+    del text
+    reader = csv.reader(chain(lines, handle))
+    del lines
+    lines_before += line - 2
+    while rows := _next_rows(reader, CHUNK_ROWS, path, lines_before):
+        m = len(rows)
+        cells = None
+        if set(map(len, rows)) == {width}:
+            cells, rows = list(chain.from_iterable(rows)), None
+        yield line, cells, rows
+        del cells, rows
+        line += m
 
 
 class _ChunkFault(Exception):
@@ -201,41 +261,44 @@ class _Columns:
         self.labels = [(name, _column_index(header, name, path)) for name in labels]
         self.label_values = label_values
 
-    def convert(self, rows, first_line: int):
+    def convert(self, first_line: int, cells, rows):
         """(reals (m, r) float64, flags (m, f) int64, labels (l, m) int64)
-        for the m rows of one chunk, whose first row is `first_line`."""
-        try:
-            return self._by_column(rows)
-        except _ChunkFault:
-            self._raise_first_fault(rows, first_line)
-            raise AssertionError("a faulty chunk passed the row-by-row checks") from None
+        for the m rows of one chunk of _chunks, whose first row is
+        `first_line`."""
+        if cells is not None:
+            try:
+                return self._by_column(cells)
+            except _ChunkFault:
+                w = self.width
+                rows = [cells[i : i + w] for i in range(0, len(cells), w)]
+        self._raise_first_fault(rows, first_line)
+        raise AssertionError("a faulty chunk passed the row-by-row checks")
 
-    def _by_column(self, rows):
-        m = len(rows)
-        if set(map(len, rows)) != {self.width}:
-            raise _ChunkFault
+    def _by_column(self, cells):
+        w = self.width
+        m = len(cells) // w
         reals = np.empty((m, len(self.reals)))
         for j, (_, col) in enumerate(self.reals):
             try:
-                reals[:, j] = np.fromiter(map(float, map(itemgetter(col), rows)), np.float64, m)
+                reals[:, j] = np.fromiter(map(float, cells[col::w]), np.float64, m)
             except ValueError:
                 raise _ChunkFault from None
         if not np.isfinite(reals).all():
             raise _ChunkFault
         flags = np.empty((m, len(self.flags)), dtype=np.int64)
         for j, (_, col, value) in enumerate(self.flags):
-            cells = list(map(itemgetter(col), rows))
-            if "" in cells:
+            column = cells[col::w]
+            if "" in column:
                 raise _ChunkFault
-            flags[:, j] = np.fromiter(map(value.__eq__, cells), bool, m)
+            flags[:, j] = np.fromiter(map(value.__eq__, column), bool, m)
         labels = np.empty((len(self.labels), m), dtype=np.int64)
         for j, (name, col) in enumerate(self.labels):
-            cells = list(map(itemgetter(col), rows))
+            column = cells[col::w]
             try:
-                codes = {c: _parse_label(c, 0, name, self.label_values) for c in set(cells)}
+                codes = {c: _parse_label(c, 0, name, self.label_values) for c in set(column)}
             except DataInputError:
                 raise _ChunkFault from None
-            labels[j] = np.fromiter(map(codes.__getitem__, cells), np.int64, m)
+            labels[j] = np.fromiter(map(codes.__getitem__, column), np.int64, m)
         return reals, flags, labels
 
     def _raise_first_fault(self, rows, first_line: int) -> None:
@@ -272,9 +335,9 @@ def _read_table(
     """The one pass over a CSV file: the named columns as float64 reals
     (n, r), int64 flags (n, f) and int64 labels (l, n) (see _Columns).
 
-    Rows stream through csv.reader in chunks of CHUNK_ROWS, so the
-    strings held at any time are one chunk's; line numbers count records
-    from the header as line 1.
+    The header is read by csv.reader and the records stream in chunks of
+    CHUNK_ROWS (see _chunks), so the strings held at any time are one
+    chunk's; line numbers count records from the header as line 1.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -282,19 +345,19 @@ def _read_table(
             header = _next_rows(reader, 1, path)
             if not header:
                 raise SchemaMismatch(f"{path}: file is empty")
-            rows = _next_rows(reader, CHUNK_ROWS, path)
-            if not rows:
+            chunks = _chunks(handle, len(header[0]), reader.line_num, path)
+            chunk = next(chunks, None)
+            if chunk is None:
                 raise SchemaMismatch(f"{path}: file has a header but no data rows")
             columns = _Columns(header[0], path, reals, flags, labels, label_values)
-            chunks, line = [], 2
-            while rows:
-                chunks.append(columns.convert(rows, line))
-                line += len(rows)
-                del rows  # drop this chunk's strings before reading the next
-                rows = _next_rows(reader, CHUNK_ROWS, path)
+            parts = [columns.convert(*chunk)]
+            # drop this chunk's strings before reading the next, as starmap
+            # does for every later chunk
+            del chunk
+            parts += starmap(columns.convert, chunks)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    real_parts, flag_parts, label_parts = zip(*chunks)
+    real_parts, flag_parts, label_parts = zip(*parts)
     return (
         np.concatenate(real_parts),
         np.concatenate(flag_parts),

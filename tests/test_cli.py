@@ -117,6 +117,17 @@ class TestDist:
         assert code == 0
         assert json.loads(out)["label_source"] == "predictions"
 
+    def test_prediction_label_source_requires_prediction_flag(self, capsys, monkeypatch):
+        # an input error found from the options alone: no file is read
+        def read(path, schema):
+            pytest.fail(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_csv", read)
+        argv = ["dist", "--input", DIST6, *SCHEMA6, "--label-source", "predictions"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "input error: dist requires --prediction\n"
+
 
 def test_m1_below_one_exits_three_for_both_methods(capsys):
     # dist builds the approx parameters for exact runs too, as hfm does

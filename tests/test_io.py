@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 import os
 import tempfile
@@ -347,32 +348,56 @@ SENSITIVE_CELLS = st.sampled_from(["Male", "Female", "male", " Male", "M,a", "Ma
 # csv.writer leaves a lone "\r" unquoted under a "\n" terminator, so a
 # carriage return only comes as part of "\r\n"
 NOTE_CELLS = st.lists(st.sampled_from([",", '"', "\n", "\r\n", " ", "a"]), max_size=4).map("".join)
+QUOTED_NOTE_CELLS = st.lists(st.sampled_from([",", '"', "\n", "\r\n"]), min_size=1, max_size=4).map(
+    "".join
+)
 CORRUPT_CELLS = st.sampled_from(
     ["", "abc", "nan", "inf", "-inf", "1e999", "0", "-1", "maybe", "no", "1.5", "Male"]
 )
 
 
+def unquoted(strategy):
+    """The cells of `strategy` that csv.writer writes as they are."""
+    return strategy.filter(lambda cell: not set(cell) & set(',"\r\n'))
+
+
 @st.composite
-def csv_tables(draw):
-    """(rows with the header first, schema, line terminator) of a valid
-    file: quoted commas and newlines, padded and underscored numbers,
-    subnormals, constant columns, integer or declared textual labels."""
-    n = draw(st.integers(1, 12))
+def csv_tables(draw, clean=None):
+    """(rows with the header first, schema, line terminator, LF rows) of a
+    valid file: quoted commas and newlines, padded and underscored
+    numbers, subnormals, constant columns, integer or declared textual
+    labels. The first `LF rows` rows end in "\n", the rest in the
+    terminator.
+
+    clean="all" writes every data row unquoted with "\n" ends, so the
+    reader splits every chunk on commas; clean="head" does so for the
+    first 1 to n-1 data rows, then writes "\r\n" ends or quotes a cell,
+    so the reader turns to csv.reader part way through the file.
+    """
+    n = draw(st.integers(2 if clean == "head" else 1, 12))
+    head = 0 if clean is None else n if clean == "all" else draw(st.integers(1, n - 1))
 
     def cells(strategy):
-        return draw(st.lists(strategy, min_size=n, max_size=n))
+        clean_cells = unquoted(strategy)
+        return [draw(clean_cells if i < head else strategy) for i in range(n)]
 
     features = [f"f{j}" for j in range(draw(st.integers(1, 3)))]
     columns = {}
     for name in features:
         constant = draw(st.booleans())
-        columns[name] = [draw(REAL_CELLS)] * n if constant else cells(REAL_CELLS)
+        value = unquoted(REAL_CELLS) if head else REAL_CELLS
+        columns[name] = [draw(value)] * n if constant else cells(REAL_CELLS)
     textual = draw(st.booleans())
     label_cells = st.sampled_from(LABEL_VALUES) if textual else INT_LABEL_CELLS
     columns["sex"] = cells(SENSITIVE_CELLS)
     for name in ("y", "yhat", "flip"):
         columns[name] = cells(label_cells)
-    columns["note, free"] = cells(NOTE_CELLS)
+    note = draw(st.sampled_from(["note, free", "note"])) if clean else "note, free"
+    columns[note] = cells(NOTE_CELLS)
+    terminator = "\n" if clean == "all" else draw(st.sampled_from(["\n", "\r\n"]))
+    if clean == "head" and terminator == "\n":
+        # without CRLF ends, a quoted cell makes the turn
+        columns[note][head] = draw(QUOTED_NOTE_CELLS)
     header = draw(st.permutations(list(columns)))
     schema = DatasetSchema(
         feature_columns=tuple(features),
@@ -383,7 +408,7 @@ def csv_tables(draw):
         prediction_flipped_column="flip",
     )
     rows = [list(header)] + [[columns[name][i] for name in header] for i in range(n)]
-    return rows, schema, draw(st.sampled_from(["\n", "\r\n"]))
+    return rows, schema, terminator, 1 + head if clean == "head" else 0
 
 
 def _raw(value):
@@ -401,14 +426,23 @@ def outcome(read):
     return [_raw(value) for value in values]
 
 
-def check_against_oracle(rows, schema, terminator, ragged=False):
+def check_against_oracle(rows, schema, terminator, lf_rows=0, ragged=False):
+    """check_text_against_oracle on the rows as csv.writer writes them,
+    the first `lf_rows` ending in "\n" and the rest in `terminator`."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows[:lf_rows])
+    csv.writer(buffer, lineterminator=terminator).writerows(rows[lf_rows:])
+    check_text_against_oracle(buffer.getvalue(), schema, ragged)
+
+
+def check_text_against_oracle(text, schema, ragged=False):
     """The streaming reads against the frozen pair the CLI used to make:
     load_csv without the flipped column, then read_int_column for it."""
     plain = dataclasses.replace(schema, prediction_flipped_column=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, lineterminator=terminator).writerows(rows)
+            handle.write(text)
         want = outcome(lambda: rowwise_load_csv(path, plain))
         want_flip = outcome(lambda: [rowwise_read_int_column(path, "flip", schema.label_values)])
         for chunk in CHUNKS:
@@ -434,6 +468,28 @@ def check_against_oracle(rows, schema, terminator, ragged=False):
                 assert got in (want, want_flip)
 
 
+def check_faults_against_oracle(table, data):
+    """check_against_oracle on a table with one or two faulty cells or
+    row widths drawn into it."""
+    rows, schema, terminator, lf_rows = table
+    ragged = False
+    line = data.draw(st.integers(1, len(rows) - 1))
+    for _ in range(data.draw(st.integers(1, 2))):
+        # two faults often share a row, which tests the order of checks in it
+        line = data.draw(st.one_of(st.just(line), st.integers(1, len(rows) - 1)))
+        row = rows[line]
+        kind = data.draw(st.sampled_from(["cell", "cell", "short", "long"]))
+        if kind == "cell":
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CORRUPT_CELLS)
+        elif kind == "short":
+            row.pop(data.draw(st.integers(0, len(row) - 1)))
+            ragged = True
+        else:
+            row.append("x")
+            ragged = True
+    check_against_oracle(rows, schema, terminator, lf_rows, ragged)
+
+
 def _streamed(path, schema):
     ds, report = load_csv(path, schema)
     return ds.features, ds.sensitive, ds.labels, ds.predictions, report, ds.predictions_flipped
@@ -451,23 +507,27 @@ class TestStreamingReaderMatchesRowwiseReader:
     @PROPERTY
     @given(csv_tables(), st.data())
     def test_faults_raise_as_before(self, table, data):
-        rows, schema, terminator = table
-        ragged = False
-        line = data.draw(st.integers(1, len(rows) - 1))
-        for _ in range(data.draw(st.integers(1, 2))):
-            # two faults often share a row, which tests the order of checks in it
-            line = data.draw(st.one_of(st.just(line), st.integers(1, len(rows) - 1)))
-            row = rows[line]
-            kind = data.draw(st.sampled_from(["cell", "cell", "short", "long"]))
-            if kind == "cell":
-                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CORRUPT_CELLS)
-            elif kind == "short":
-                row.pop(data.draw(st.integers(0, len(row) - 1)))
-                ragged = True
-            else:
-                row.append("x")
-                ragged = True
-        check_against_oracle(rows, schema, terminator, ragged)
+        check_faults_against_oracle(table, data)
+
+    @PROPERTY
+    @given(csv_tables(clean="all"))
+    def test_quote_free_files_hex_equal(self, table):
+        check_against_oracle(*table)
+
+    @PROPERTY
+    @given(csv_tables(clean="all"), st.data())
+    def test_faults_in_quote_free_files(self, table, data):
+        check_faults_against_oracle(table, data)
+
+    @PROPERTY
+    @given(csv_tables(clean="head"))
+    def test_files_turning_quoted_hex_equal(self, table):
+        check_against_oracle(*table)
+
+    @PROPERTY
+    @given(csv_tables(clean="head"), st.data())
+    def test_faults_in_files_turning_quoted(self, table, data):
+        check_faults_against_oracle(table, data)
 
     def test_two_faults_in_one_row_every_column_pair(self):
         schema = DatasetSchema(
@@ -485,3 +545,87 @@ class TestStreamingReaderMatchesRowwiseReader:
                     rows = [header] + [list(row) for row in valid]
                     rows[3][first] = rows[3][second] = bad
                     check_against_oracle(rows, schema, "\n")
+
+    # a quote-free table: header, then rows of f0, note, y, yhat, flip,
+    # sex; with sex last, a "\r" left on a line's last cell would change
+    # the flags
+    NOTE_HEADER = "f0,note,y,yhat,flip,sex\n"
+    NOTE_SCHEMA = DatasetSchema(
+        feature_columns=("f0",),
+        sensitive_columns=(("sex", "Male"),),
+        label_column="y",
+        prediction_column="yhat",
+        prediction_flipped_column="flip",
+    )
+
+    def test_blank_line_mid_file(self, tmp_path):
+        # csv.reader reads a blank line as a row of no cells
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n\n1.5,b,2,1,2,Female\n"
+        check_text_against_oracle(text, self.NOTE_SCHEMA, ragged=True)
+        # with one column, a blank line has as many commas as a row
+        path = write_csv(tmp_path, "y\n1\n\n2\n")
+        for chunk in CHUNKS:
+            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                with pytest.raises(ParseError) as err:
+                    read_int_column(path, "y")
+            assert str(err.value) == "line 3, column '': expected 1 cells, found 0"
+
+    def test_nul_byte(self, tmp_path):
+        # csv.reader rejects NUL on Python 3.10 and reads it as a
+        # character on 3.11+; the reader must do as csv.reader does
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n" * 3 + "1.5,a\0b,2,1,2,Female\n"
+        try:
+            list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            path = write_csv(tmp_path, text)
+            for chunk in CHUNKS:
+                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                    with pytest.raises(ParseError) as err:
+                        load_csv(path, self.NOTE_SCHEMA)
+                assert str(err.value) == f"line 5, column '': {exc}"
+        else:
+            check_text_against_oracle(text, self.NOTE_SCHEMA)
+
+    def test_cell_over_the_field_limit_after_the_switch(self, tmp_path):
+        # the quoted note spans lines 4 and 5, so the oversized cell is on
+        # physical line 7, the sixth record
+        big = "1" * (csv.field_size_limit() + 1)
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n" * 2 + '1.5,"a\nb",2,1,2,Female\n'
+        text += f"2.5,c,1,1,1,Male\n{big},d,1,1,1,Male\n"
+        path = write_csv(tmp_path, text)
+        for chunk in CHUNKS:
+            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                with pytest.raises(ParseError) as err:
+                    load_csv(path, self.NOTE_SCHEMA)
+            assert err.value.line == 7
+            assert "field larger than field limit" in str(err.value)
+
+    @pytest.mark.parametrize("last", ["2.5,c,2,1,2,Male", "x,c,2,1,2,Male", "2.5,c,2"])
+    def test_last_line_without_newline(self, last):
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n1.5,b,2,2,1,Female\n" + last
+        check_text_against_oracle(text, self.NOTE_SCHEMA, ragged=last.count(",") != 5)
+
+    def test_padded_and_underscored_numbers_in_a_quote_free_file(self):
+        rows = [
+            " 1.5 ,a, 1,1_0,+2,Male",
+            "1_0,b,+2,02,3 ,Female",
+            "+2,,1,1,1,Male",
+            "7.,c,2,2,2, Male",
+        ]
+        check_text_against_oracle(self.NOTE_HEADER + "\n".join(rows) + "\n", self.NOTE_SCHEMA)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_turning_quoted_after_the_first_default_chunks(self, terminator):
+        # rows 1 .. CHUNK_ROWS + 6 are quote-free with "\n" ends; from there
+        # on a quoted note or "\r\n" ends send the reader to csv.reader,
+        # and a fault later on must keep its record number
+        n = 2 * io_module.CHUNK_ROWS + 10
+        rows = [self.NOTE_HEADER.split()[0].split(",")]
+        rows += [[repr(i / 7), "a", "1", "2", str(1 + i % 2), "Male" if i % 3 else "Female"]
+                 for i in range(n)]
+        lf_rows = io_module.CHUNK_ROWS + 7
+        if terminator == "\n":
+            rows[lf_rows][1] = "a,b"
+        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows)
+        rows[n - 3][0] = "x"
+        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows)
