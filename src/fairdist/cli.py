@@ -68,7 +68,11 @@ def _list_of(kind):
 
 
 def _schema_from_args(args) -> DatasetSchema:
-    features = _comma_list(args.features or "")
+    """The schema the options name. A subcommand that computes distances
+    needs at least one --features column; group-metrics reads none."""
+    features = _comma_list(args.features or "") if args.reads_features else []
+    if args.reads_features and not features:
+        raise SchemaMismatch(f"{args.command} needs at least one --features column")
     sensitive = _comma_list(args.sensitive or "")
     privileged = _comma_list(args.privileged or "")
     if not args.label:
@@ -311,9 +315,22 @@ def cmd_verify_theory(args) -> int:
     return 0
 
 
-def _add_schema_options(parser: argparse.ArgumentParser, required: bool) -> None:
+def _add_schema_options(
+    parser: argparse.ArgumentParser, required: bool, reads_features: bool = True
+) -> None:
+    """The schema flags; with reads_features False (group-metrics),
+    --features is optional and _schema_from_args leaves it unread."""
     group = parser.add_argument_group("schema")
-    group.add_argument("--features", required=required, help="comma-separated feature columns")
+    features_help = "comma-separated feature columns"
+    if not reads_features:
+        features_help = (
+            "accepted so that command lines can be shared with dist and hfm, but not "
+            "read: the measures use only the sensitive, label and prediction columns, so "
+            "a --features name missing from the header or a bad, empty or inf feature "
+            "cell does not stop the command"
+        )
+    group.add_argument("--features", required=required and reads_features, help=features_help)
+    parser.set_defaults(reads_features=reads_features)
     group.add_argument(
         "--sensitive", required=required, help="comma-separated sensitive columns"
     )
@@ -413,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gm = sub.add_parser("group-metrics", help="DP, EO, PQP and optionally DR")
     p_gm.add_argument("--input", required=True)
-    _add_schema_options(p_gm, required=True)
+    _add_schema_options(p_gm, required=True, reads_features=False)
     _add_partition_options(p_gm)
     _add_output_options(p_gm)
     p_gm.set_defaults(func=cmd_group_metrics)

@@ -1,10 +1,12 @@
 """CSV ingestion with min-max feature scaling, and bit-stable report
 serialization.
 
-Input files are RFC-4180 CSV with a header row, UTF-8. Features are
+Input files are RFC-4180 CSV with a header row, UTF-8; a leading
+byte-order mark, as spreadsheet tools write it, is skipped. Features are
 rescaled per column to [0, 1]; a constant column maps to all zeros and is
 recorded in the scaling report. Missing cells are a hard error, never
-imputed: silently filling values would change distances.
+imputed: silently filling values would change distances. A schema may
+name no features; its read then converts no real-valued column at all.
 
 A file is read in one streaming pass: rows are taken CHUNK_ROWS at a time
 and converted column by column, so the memory a read needs is one
@@ -63,6 +65,8 @@ class DatasetSchema:
     made on attribute-disturbed rows (for discriminative risk); it is
     decoded like the predictions and may name any column, the prediction
     column included, so it takes no part in the role-overlap check.
+    feature_columns may be empty: the group measures need no features,
+    and a read that names none parses and scales no real-valued column.
     """
 
     feature_columns: tuple[str, ...]
@@ -80,8 +84,6 @@ class DatasetSchema:
         )
         if self.label_values is not None:
             object.__setattr__(self, "label_values", tuple(self.label_values))
-        if not self.feature_columns:
-            raise SchemaMismatch("schema needs at least one feature column")
         if not self.sensitive_columns:
             raise SchemaMismatch("schema needs at least one sensitive column")
         names = (
@@ -340,7 +342,7 @@ def _read_table(
     chunk's; line numbers count records from the header as line 1.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = _next_rows(reader, 1, path)
             if not header:
@@ -368,7 +370,9 @@ def _read_table(
 def load_csv(path: str, schema: DatasetSchema) -> tuple[LabeledDataset, ScalingReport]:
     """Read a CSV per the schema and return the scaled dataset plus the
     scaling report. Deterministic: the same file and schema always yield
-    the identical dataset."""
+    the identical dataset. A schema without feature columns gives
+    features of shape (n, 0) and an empty report, and no cell of an
+    unnamed column is parsed or checked."""
     label_roles = (
         schema.label_column,
         schema.prediction_column,

@@ -298,6 +298,47 @@ class TestGroupMetrics:
         assert record["equal_opportunity"] == 0.0
         assert record["predictive_quality_parity"] == 0.0
 
+    @pytest.mark.parametrize(
+        "features, bad_cell",
+        [(None, None), ("x1,nope", None), ("x1,x2", "abc"), ("x1,x2", ""), ("x1,x2", "inf")],
+    )
+    def test_features_are_not_read(self, capsys, tmp_path, features, bad_cell):
+        # the measures depend on no feature column, so neither a missing
+        # --features name nor a feature cell that dist and hfm reject
+        # stops group-metrics or changes its record
+        flags = [*SCHEMA12[2:], "--prediction-flipped", "yhat_flip"]
+        want = run(capsys, ["group-metrics", "--input", GM12, *SCHEMA12[:2], *flags])
+        path = GM12
+        if bad_cell is not None:
+            lines = open(GM12).read().splitlines(keepends=True)
+            lines[3] = bad_cell + lines[3][lines[3].index(","):]
+            path = tmp_path / "bad_feature.csv"
+            path.write_text("".join(lines))
+        argv = ["group-metrics", "--input", str(path), *flags]
+        if features is not None:
+            argv += ["--features", features]
+        assert want[0] == 0
+        assert run(capsys, argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--input", DIST6],
+        ["hfm", "--input", DIST6, "--prediction", "yhat"],
+        ["bench", "--input", DIST6],
+    ],
+)
+def test_distance_commands_need_features(capsys, monkeypatch, argv):
+    # an input error found from the options alone: no file is read
+    def read(path, schema):
+        pytest.fail(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_csv", read)
+    code, out, err = run(capsys, [*argv, *SCHEMA6[2:], "--features", ""])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {argv[0]} needs at least one --features column\n"
+
 
 class TestBench:
     def test_sweep_rows_and_summary(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdist import DatasetSchema, DistanceResult, LabelSource, load_csv
+from fairdist import DatasetSchema, DistanceResult, LabelSource, ScalingReport, load_csv
 from fairdist import io as io_module
 from fairdist.errors import InvalidArgument, MissingValue, ParseError, SchemaMismatch
 from fairdist.io import minmax_scale, read_int_column, render_report, write_report
@@ -215,6 +216,30 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(str(path), BASIC_SCHEMA)
         assert err.value.line == 5002
+        assert "not valid UTF-8" in str(err.value)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with EF BB BF; the first header name
+        # must not keep it, on the split path and on the csv.reader path
+        schema = TestStreamingReaderMatchesRowwiseReader.NOTE_SCHEMA
+        table = TestStreamingReaderMatchesRowwiseReader.NOTE_HEADER
+        table += "0.5,a,1,2,1,Male\n1.5,b,2,1,2,Female\n2.5,c,1,1,2,Male\n"
+        for text in (table, table.replace(",b,", ',"b,""q""",')):
+            plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+            for chunk in CHUNKS:
+                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                    want = outcome(lambda: _streamed(str(plain), schema))
+                    assert isinstance(want, list)
+                    assert outcome(lambda: _streamed(str(marked), schema)) == want
+
+    def test_bytes_that_are_not_utf8_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,b,sex,y\n1,0,Male,1\n2,\xff,Male,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), BASIC_SCHEMA)
+        assert err.value.line == 3
         assert "not valid UTF-8" in str(err.value)
 
     def test_cell_over_the_csv_field_limit(self, tmp_path):
@@ -426,13 +451,18 @@ def outcome(read):
     return [_raw(value) for value in values]
 
 
-def check_against_oracle(rows, schema, terminator, lf_rows=0, ragged=False):
-    """check_text_against_oracle on the rows as csv.writer writes them,
-    the first `lf_rows` ending in "\n" and the rest in `terminator`."""
+def table_text(rows, terminator, lf_rows=0):
+    """The rows as csv.writer writes them, the first `lf_rows` ending in
+    "\n" and the rest in `terminator`."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows[:lf_rows])
     csv.writer(buffer, lineterminator=terminator).writerows(rows[lf_rows:])
-    check_text_against_oracle(buffer.getvalue(), schema, ragged)
+    return buffer.getvalue()
+
+
+def check_against_oracle(rows, schema, terminator, lf_rows=0, ragged=False):
+    """check_text_against_oracle on the table_text of the rows."""
+    check_text_against_oracle(table_text(rows, terminator, lf_rows), schema, ragged)
 
 
 def check_text_against_oracle(text, schema, ragged=False):
@@ -528,6 +558,27 @@ class TestStreamingReaderMatchesRowwiseReader:
     @given(csv_tables(clean="head"), st.data())
     def test_faults_in_files_turning_quoted(self, table, data):
         check_faults_against_oracle(table, data)
+
+    @PROPERTY
+    @given(st.sampled_from([None, "all", "head"]).flatmap(lambda clean: csv_tables(clean=clean)))
+    def test_feature_free_schema_reads_the_same_other_columns(self, table):
+        # the group-metrics schema: no real-valued column is converted,
+        # and every other array keeps the full read's bits
+        rows, schema, terminator, lf_rows = table
+        bare = dataclasses.replace(schema, feature_columns=())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(table_text(rows, terminator, lf_rows))
+            for chunk in CHUNKS:
+                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+                    full = _streamed(path, schema)
+                    got = _streamed(path, bare)
+                assert got[0].shape == (len(rows) - 1, 0)
+                assert got[4] == ScalingReport((), ())
+                assert [_raw(a) for a in got[1:4] + got[5:]] == [
+                    _raw(a) for a in full[1:4] + full[5:]
+                ]
 
     def test_two_faults_in_one_row_every_column_pair(self):
         schema = DatasetSchema(
