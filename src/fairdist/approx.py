@@ -82,9 +82,10 @@ class ProjectionVector:
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1 or len(weights) < 1:
             raise InvalidArgument("projection weights must form a nonempty vector")
-        if abs(float(np.abs(weights).sum()) - 1.0) > 1e-12:
+        # written so that NaN fails them too
+        if not abs(float(np.abs(weights).sum()) - 1.0) <= 1e-12:
             raise InvalidArgument("projection weights must have L1 norm 1")
-        if float(np.abs(weights).max()) > 1.0:
+        if not float(np.abs(weights).max()) <= 1.0:
             raise InvalidArgument("projection weights must lie in [-1, 1]")
 
     @property
@@ -212,16 +213,14 @@ def _sort_order(projected: np.ndarray) -> np.ndarray:
     stable order is the only sorted order, so it is returned as is. Ties
     (-0.0 next to 0.0 among them) are put in row order inside each run of
     equal sorted values, by one sort of the unique keys run * n + row.
-    NaN sorts last, where the strict test cannot tell its runs apart, so
-    it takes the stable sort.
+    Projections are never NaN (ProjectionVector's weights are finite, as
+    are the rows), so every run is one value.
     """
     order = np.argsort(projected)
     ranked = projected[order]
     rises = ranked[1:] > ranked[:-1]
     if rises.all():
         return order
-    if np.isnan(ranked[-1]):
-        return np.argsort(projected, kind="stable")
     runs = np.concatenate(([0], np.cumsum(rises)))
     return order[np.argsort(runs * len(order) + order)]
 

@@ -151,14 +151,8 @@ def _require_binary(dataset: LabeledDataset, attr_index: int) -> np.ndarray:
 
 def partition_by_attribute(dataset: LabeledDataset, attr_index: int) -> GroupPartition:
     """Split rows by one binary sensitive attribute: value 1 (privileged)
-    goes to group1, value 0 to group0."""
-    column = _require_binary(dataset, attr_index)
-    return GroupPartition(
-        attr_indices=(attr_index,),
-        group0=np.nonzero(column == 0)[0],
-        group1=np.nonzero(column == 1)[0],
-        n=dataset.n,
-    )
+    goes to group1, value 0 to group0: joint_partition over one attribute."""
+    return joint_partition(dataset, [attr_index])
 
 
 def joint_partition(dataset: LabeledDataset, attr_indices: list[int]) -> GroupPartition:

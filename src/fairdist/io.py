@@ -24,7 +24,11 @@ column through the same reader.
 Reports are written with a fixed field order and reals rendered with 17
 significant digits, so identical records always produce byte-identical
 files. Positive infinity is rendered as the string "inf" (JSON has no
-infinity literal).
+infinity literal). A report is a record (a mapping) or a list of
+records. JSON takes one path for both, `_to_json`, which escapes every
+string, keys included, by one rule: the quote, the backslash and
+U+0000-U+001F, as json.dumps(..., ensure_ascii=False) writes them. CSV
+writes a lone record as a one-row table.
 """
 
 from __future__ import annotations
@@ -422,16 +426,25 @@ def _cell(value) -> str:
     return str(value)
 
 
+# JSON's string escapes, as json.dumps(..., ensure_ascii=False) writes
+# them: the quote, the backslash and U+0000-U+001F, in short form where
+# JSON has one; every other character stands as is
+_JSON_ESCAPES = str.maketrans(
+    {chr(code): "\\u%04x" % code for code in range(0x20)}
+    | {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
 def _to_json(value) -> str:
     if isinstance(value, Mapping):
-        parts = ('"%s": %s' % (k, _to_json(v)) for k, v in value.items())
+        parts = ("%s: %s" % (_to_json(k), _to_json(v)) for k, v in value.items())
         return "{%s}" % ", ".join(parts)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(_to_json(v) for v in value)
     if value is None:
         return "null"
     if isinstance(value, str):
-        return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"%s"' % value.translate(_JSON_ESCAPES)
     if not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidArgument(f"cannot serialize value of type {type(value).__name__}")
     text = _cell(value)
@@ -439,29 +452,13 @@ def _to_json(value) -> str:
     return '"%s"' % text if text in ("inf", "-inf") else text
 
 
-def _as_records(report) -> tuple[list[dict], bool]:
-    # returns (records, was_single)
-    if isinstance(report, Mapping):
-        return [dict(report)], True
-    if isinstance(report, Sequence) and not isinstance(report, (str, bytes)):
-        records = []
-        for item in report:
-            if not isinstance(item, Mapping):
-                raise InvalidArgument("report rows must be mappings")
-            records.append(dict(item))
-        return records, False
-    raise InvalidArgument("report must be a mapping or a sequence of mappings")
-
-
 def render_report(report, fmt: str = "json") -> str:
     """Serialize a record (or list of records) to a deterministic JSON or
     CSV string."""
-    records, single = _as_records(report)
     if fmt == "json":
-        if single:
-            return _to_json(records[0]) + "\n"
-        return _to_json(records) + "\n"
+        return _to_json(report) + "\n"
     if fmt == "csv":
+        records = [report] if isinstance(report, Mapping) else report
         if not records:
             raise InvalidArgument("cannot emit CSV for an empty record list")
         keys = list(records[0].keys())

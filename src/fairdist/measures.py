@@ -40,7 +40,8 @@ def hfm(d_f: float, d: float) -> float:
     d = 0 with d_f = 0 yields 0 (nothing to amplify, nothing added);
     d = 0 with d_f > 0 yields +infinity.
     """
-    if d_f < 0 or d < 0:
+    # written so that NaN fails it too
+    if not (d_f >= 0 and d >= 0):
         raise InvalidArgument("distances must be nonnegative")
     if d > 0:
         return d_f / d - 1.0

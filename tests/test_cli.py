@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from fairdist import cli
 from fairdist.cli import main
+from fairdist.dataset import joint_partition, partition_by_attribute
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DIST6 = os.path.join(FIXTURES, "distance_6.csv")
@@ -340,6 +342,102 @@ def test_distance_commands_need_features(capsys, monkeypatch, argv):
     assert err == f"input error: {argv[0]} needs at least one --features column\n"
 
 
+# x, sex, race, y, yhat: privileged sex is M (rows 0, 1, 4), privileged
+# race W (rows 0, 2, 4, 5), and both jointly rows 0 and 4
+TWO_ATTR_ROWS = [
+    ("0.0", "M", "W", "lo", "lo"),
+    ("0.2", "M", "B", "hi", "mid"),
+    ("0.4", "F", "W", "mid", "hi"),
+    ("0.6", "F", "B", "hi", "hi"),
+    ("0.8", "M", "W", "lo", "mid"),
+    ("1.0", "F", "W", "mid", "lo"),
+]
+# the labels coded 1..3 in the order lo, mid, hi
+CODES = {"lo": "1", "mid": "2", "hi": "3"}
+TWO_ATTR_SCHEMA = ["--features", "x", "--sensitive", "sex,race", "--privileged", "M,W",
+                   "--label", "y", "--prediction", "yhat"]
+
+
+def two_attr_csv(tmp_path, codes=None, name="two_attr.csv") -> str:
+    """TWO_ATTR_ROWS as a CSV file, the label cells mapped through `codes`
+    (default: left as text)."""
+    codes = codes or {}
+    path = tmp_path / name
+    lines = ["x,sex,race,y,yhat"]
+    for *cells, y, yhat in TWO_ATTR_ROWS:
+        lines.append(",".join([*cells, codes.get(y, y), codes.get(yhat, yhat)]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestPartitionAndLabelOptions:
+    """--attr, --joint and --label-values on a file with two sensitive
+    columns."""
+
+    def partition_of(self, capsys, monkeypatch, argv):
+        """The dataset and partition that `dist` computes its distance on."""
+        seen = []
+        real = cli.set_distance
+
+        def spy(dataset, partition, *rest):
+            seen.append((dataset, partition))
+            return real(dataset, partition, *rest)
+
+        monkeypatch.setattr(cli, "set_distance", spy)
+        code, _, err = run(capsys, ["dist", *argv])
+        assert code == 0, err
+        [(dataset, partition)] = seen
+        return dataset, partition
+
+    def groups(self, partition):
+        return partition.attr_indices, partition.group0.tolist(), partition.group1.tolist()
+
+    @pytest.mark.parametrize("attr, index", [(None, 0), ("sex", 0), ("race", 1)])
+    def test_attr_picks_the_partition_column(self, capsys, monkeypatch, tmp_path, attr, index):
+        path = two_attr_csv(tmp_path, CODES)
+        argv = ["--input", path, *TWO_ATTR_SCHEMA] + (["--attr", attr] if attr else [])
+        dataset, partition = self.partition_of(capsys, monkeypatch, argv)
+        assert self.groups(partition) == self.groups(partition_by_attribute(dataset, index))
+        want = {0: ([2, 3, 5], [0, 1, 4]), 1: ([1, 3], [0, 2, 4, 5])}[index]
+        assert (partition.group0.tolist(), partition.group1.tolist()) == want
+
+    def test_undeclared_attr_exits_two(self, capsys, tmp_path):
+        path = two_attr_csv(tmp_path, CODES)
+        code, out, err = run(capsys, ["dist", "--input", path, *TWO_ATTR_SCHEMA, "--attr", "age"])
+        assert (code, out) == (2, "")
+        assert "is not a declared sensitive column" in err
+
+    def test_joint_splits_on_every_sensitive_column(self, capsys, monkeypatch, tmp_path):
+        path = two_attr_csv(tmp_path, CODES)
+        argv = ["--input", path, *TWO_ATTR_SCHEMA, "--joint"]
+        dataset, partition = self.partition_of(capsys, monkeypatch, argv)
+        assert self.groups(partition) == self.groups(joint_partition(dataset, [0, 1]))
+        assert self.groups(partition) == ((0, 1), [1, 2, 3, 5], [0, 4])
+
+    def test_label_values_map_by_position(self, capsys, tmp_path):
+        # the text file with --label-values writes the same report as the
+        # file whose labels are already coded 1..3 in that order, and the
+        # two orders write different reports
+        text = two_attr_csv(tmp_path)
+        tail = [*TWO_ATTR_SCHEMA, "--method", "exact"]
+        reports = []
+        for order in (("lo", "mid", "hi"), ("hi", "lo", "mid")):
+            codes = {label: str(i) for i, label in enumerate(order, 1)}
+            coded = two_attr_csv(tmp_path, codes, name="coded.csv")
+            got = run(capsys, ["hfm", "--input", text, *tail, "--label-values", ",".join(order)])
+            assert got == run(capsys, ["hfm", "--input", coded, *tail])
+            assert got[0] == 0
+            reports.append(got[1])
+        assert reports[0] != reports[1]
+
+    def test_undeclared_label_exits_two(self, capsys, tmp_path):
+        path = two_attr_csv(tmp_path)
+        argv = ["dist", "--input", path, *TWO_ATTR_SCHEMA, "--label-values", "lo,mid"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "label 'hi' not in declared label values" in err
+
+
 class TestBench:
     def test_sweep_rows_and_summary(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")
@@ -380,6 +478,20 @@ class TestBench:
         code, out, err = run(capsys, [*BENCH, "--data-seed", "-1"])
         assert (code, out) == (3, "")
         assert err == "computation error: seed must be a nonnegative integer\n"
+
+    def test_input_path_with_control_characters_writes_valid_json(self, capsys, tmp_path):
+        # every row names its dataset by the --input path, so the report
+        # holds the path's tab, quote, backslash and non-ASCII letter
+        path = str(tmp_path / 'a\tb "c" \\ caf\u00e9.csv')
+        shutil.copyfile(GM12, path)
+        out_path = str(tmp_path / "rows.json")
+        argv = ["bench", "--input", path, *SCHEMA12, "--m1", "2", "--out", out_path]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        with open(out_path, encoding="utf-8") as handle:
+            rows = json.loads(handle.read())
+        assert [row["dataset_id"] for row in rows] == [path, path]
+        assert json.loads(out)["rows_ok"] == 2
 
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")

@@ -2,6 +2,7 @@ import codecs
 import csv
 import dataclasses
 import io
+import json
 import math
 import os
 import tempfile
@@ -338,6 +339,30 @@ class TestWriteReport:
     def test_record_list_to_csv(self):
         rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": math.inf}]
         assert render_report(rows, "csv") == "a,b\n1,0.5\n2,inf\n"
+
+    # a tab, a newline, the quote, the backslash, a non-ASCII letter, and
+    # every other control character
+    AWKWARD = [
+        "a\tb", "one\ntwo", 'say "hi"', "back\\slash", "caf\u00e9", "".join(map(chr, range(32)))
+    ]
+
+    def test_awkward_strings_round_trip_through_json(self):
+        record = {text: text for text in self.AWKWARD}
+        assert json.loads(render_report(record, "json")) == record
+        assert json.loads(render_report([record, record], "json")) == [record, record]
+
+    def test_strings_escaped_as_json_dumps_escapes_them(self):
+        text = "".join(map(chr, range(128))) + "\u00e9\u2028\U0001f600"
+        quoted = json.dumps(text, ensure_ascii=False)
+        assert render_report({text: [text]}, "json") == "{%s: [%s]}\n" % (quoted, quoted)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([], "empty record list"), ([{"a": 1}, {"b": 2}], "share one field set")],
+    )
+    def test_csv_rejects_what_has_no_one_header(self, rows, message):
+        with pytest.raises(InvalidArgument, match=message):
+            render_report(rows, "csv")
 
 
 def test_fixture_files_load():

@@ -59,6 +59,11 @@ class TestHfm:
         with pytest.raises(InvalidArgument):
             hfm(0.1, -0.2)
 
+    @pytest.mark.parametrize("d_f, d", [(1.0, math.nan), (math.nan, 1.0), (math.nan, 0.0)])
+    def test_nan_inputs_rejected(self, d_f, d):
+        with pytest.raises(InvalidArgument):
+            hfm(d_f, d)
+
     def test_scale_consistency(self, rng):
         for _ in range(50):
             d_f, d = rng.uniform(0.01, 2.0, size=2)
