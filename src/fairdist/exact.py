@@ -8,21 +8,27 @@ space (insensitive features, label), so a row contributes the vector
 [y, x_1, ..., x_nx] and distances are plain Euclidean. Sensitive columns
 never enter the metric.
 
-Two routes compute the same value, bit for bit:
+Three routes compute the same value, bit for bit:
 
 - `exact_set_distance` is the brute-force baseline: it evaluates all
   n0*n1 point pairs, streaming the pair matrix block by block so memory
   stays O(block^2) while both directed terms are accumulated in one pass.
-- `tree_set_distance` is the route `dist`/`hfm --method exact` and
-  `hfm_distances` take: label-stratified k-d tree queries, with the
+- `early_break_set_distance` is the route `dist`/`hfm --method exact`
+  and `hfm_distances` take: Taha and Hanbury's early-break scan in numpy
+  alone, which stops an anchor's scan as soon as an opponent lies within
+  the running maximum. It imports no scipy, whose import costs more than
+  the scan on separated groups; on inputs where the scan finds no near
+  opponents early it hands the call to the tree route.
+- `tree_set_distance`: label-stratified k-d tree queries, with the
   anchors that tie the largest distance recomputed by the brute-force
   pair kernel, so the value is the baseline's by construction.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,4 +202,203 @@ def tree_set_distance(
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(
         value=value, method="exact", label_source=source, elapsed_ns=elapsed
+    )
+
+
+# The early-break route's constants, chosen on the inputs CHANGES.md
+# records for this route
+_KERNEL_PAIRS = 256 * 256  # pairs in one block of the numpy pair kernel
+_FIRST_BATCH = 32  # anchors in each direction's first batch; doubles...
+_LAST_BATCH = 8192  # ...up to this
+_FIRST_SPAN = 8  # opponents a batch scans first; the scanned prefix doubles
+_FAR_BUDGET = 4096  # opponents an anchor scans before it counts as far
+_FAR_CAP = 1024  # far anchors scanned on before the call goes to the tree
+_MEAN_CAP = 1024  # mean opponents scanned per anchor before it does,
+_COUNTED_BATCH = 4 * _FIRST_BATCH  # counted over batches of this size on
+
+
+def _scan_order(start: int, stop: int) -> np.ndarray:
+    """A fixed pseudo-random permutation of range(stop - start): the
+    indices start..stop-1 sorted by their splitmix64 hash, a bijection, so
+    no two keys tie and disjoint ranges give unrelated orders. numpy's
+    random module is not imported for it."""
+    z = np.arange(start, stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.argsort(z)
+
+
+class _PairKernel:
+    """Squared pair distances summed in column order, (a_j - b_j)**2 from
+    j = 0 upward: the order in which scipy's `cdist` sums them before its
+    one square root, so the square root of a sum is `cdist`'s distance
+    bit for bit. Points are the columns of (d, n) arrays. A block holds
+    at most _KERNEL_PAIRS pairs, in two buffers reused block after block."""
+
+    def __init__(self):
+        self._total = np.empty(_KERNEL_PAIRS)
+        self._term = np.empty(_KERNEL_PAIRS)
+
+    def _squares(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        shape = (rows.shape[1], cols.shape[1])
+        total = self._total[: shape[0] * shape[1]].reshape(shape)
+        term = self._term[: total.size].reshape(shape)
+        np.subtract(rows[0][:, None], cols[0], out=total)
+        np.multiply(total, total, out=total)
+        for j in range(1, len(rows)):
+            np.subtract(rows[j][:, None], cols[j], out=term)
+            np.multiply(term, term, out=term)
+            np.add(total, term, out=total)
+        return total
+
+    def lower(self, nearest: np.ndarray, anchors: np.ndarray, opponents: np.ndarray) -> None:
+        """Lower nearest[i] to the squared distance from anchor i to its
+        nearest opponent; both sides must be nonempty."""
+        # (a_j - b_j)**2 and (b_j - a_j)**2 are the same bits, so the
+        # longer side may run along the inner axis
+        flip = anchors.shape[1] > opponents.shape[1]
+        rows, cols = (opponents, anchors) if flip else (anchors, opponents)
+        width = min(cols.shape[1], _KERNEL_PAIRS)
+        height = _KERNEL_PAIRS // width
+        for i in range(0, rows.shape[1], height):
+            for k in range(0, cols.shape[1], width):
+                block = self._squares(rows[:, i : i + height], cols[:, k : k + width])
+                if flip:
+                    out = nearest[k : k + width]
+                    np.minimum(out, block.min(axis=0), out=out)
+                else:
+                    out = nearest[i : i + height]
+                    np.minimum(out, block.min(axis=1), out=out)
+
+
+class _EarlyBreak:
+    """One early-break scan over both directed terms, which share one
+    running maximum of squared nearest-opponent distances.
+
+    Each group's points are taken in a fixed pseudo-random order, as
+    anchors and as opponents alike. The anchors go in batches, one
+    direction after the other, that double from _FIRST_BATCH; a batch
+    scans its opponents in blocks whose prefix doubles from _FIRST_SPAN,
+    and an anchor leaves as soon as its nearest opponent so far is within
+    the running maximum (`<=`: on duplicate points every distance ties at
+    0). An anchor still scanning after _FAR_BUDGET opponents is far: the
+    far anchors of a batch scan on one at a time, the largest nearest
+    distance first, so that one which sees every opponent raises the
+    maximum before the next one goes on.
+
+    The maximum comes only from anchors scanned in full, so it is the
+    largest squared nearest distance bit for bit; the order changes only
+    how many pairs are evaluated. The scan gives up (returns None) when
+    more than _FAR_CAP anchors are far, or when, after a round of one
+    batch per direction, the batches of _COUNTED_BATCH anchors or more
+    have scanned more than _MEAN_CAP opponents per anchor on average
+    before their far anchors went on. The smaller first batches are not
+    counted: they scan long because the maximum still rises from 0."""
+
+    def __init__(self):
+        self.kernel = _PairKernel()
+        self.largest = 0.0
+        self.far = 0
+
+    def _batch(self, anchors: np.ndarray, opponents: np.ndarray) -> int | None:
+        """Settle one batch of anchors; returns the number of pairs its
+        scan evaluated before the far anchors were finished, or None when
+        too many anchors are far."""
+        n = opponents.shape[1]
+        nearest = np.full(anchors.shape[1], np.inf)
+        active = np.arange(anchors.shape[1])
+        done = pairs = 0
+        while len(active) and done < min(n, _FAR_BUDGET):
+            stop = min(max(2 * done, _FIRST_SPAN), n)
+            part = nearest[active]
+            self.kernel.lower(part, anchors[:, active], opponents[:, done:stop])
+            nearest[active] = part
+            pairs += len(active) * (stop - done)
+            active = active[part > self.largest]
+            done = stop
+        if done == n:
+            self.largest = max(self.largest, nearest[active].max(initial=0.0))
+            return pairs
+        for i in active[np.argsort(-nearest[active], kind="stable")]:
+            if nearest[i] <= self.largest:
+                continue
+            self.far += 1
+            if self.far > _FAR_CAP:
+                return None
+            self._finish(nearest[i : i + 1], anchors[:, i : i + 1], opponents, done)
+        return pairs
+
+    def _finish(self, nearest: np.ndarray, anchor: np.ndarray, opponents: np.ndarray, done: int):
+        """Scan one far anchor on from opponent `done`, in blocks whose
+        prefix doubles, until it is within the running maximum or has
+        seen every opponent and so raises the maximum."""
+        n = opponents.shape[1]
+        while done < n:
+            stop = min(max(2 * done, _FIRST_SPAN), n)
+            self.kernel.lower(nearest, anchor, opponents[:, done:stop])
+            if nearest[0] <= self.largest:
+                return
+            done = stop
+        self.largest = nearest[0]
+
+    def run(self, z0: np.ndarray, z1: np.ndarray) -> float | None:
+        """The largest squared nearest-opponent distance of the rows of
+        z0 and z1, or None when the scan gives up."""
+        # the groups take unrelated orders, so that groups listing the
+        # same rows in the same order do not meet them in lockstep
+        n0, n = len(z0), len(z0) + len(z1)
+        points = [
+            np.ascontiguousarray(z0[_scan_order(0, n0)].T),
+            np.ascontiguousarray(z1[_scan_order(n0, n)].T),
+        ]
+        taken = [0, 0]
+        size = _FIRST_BATCH
+        pairs = anchors = 0
+        while taken[0] < n0 or taken[1] < n - n0:
+            for side in (0, 1):
+                batch = points[side][:, taken[side] : taken[side] + size]
+                if batch.shape[1] == 0:
+                    continue
+                scanned = self._batch(batch, points[1 - side])
+                if scanned is None:
+                    return None
+                taken[side] += batch.shape[1]
+                if size >= _COUNTED_BATCH:
+                    pairs += scanned
+                    anchors += batch.shape[1]
+            if pairs > _MEAN_CAP * anchors:
+                return None
+            size = min(2 * size, _LAST_BATCH)
+        return self.largest
+
+
+def early_break_set_distance(
+    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
+) -> DistanceResult:
+    """The symmetric between-group distance by an early-break scan,
+    equal bit for bit to `exact_set_distance`, without scipy.
+
+    Pairs are evaluated by a numpy kernel that sums squared coordinate
+    differences in `cdist`'s order, and an anchor stops at the first
+    opponent within the running maximum (see `_EarlyBreak`). On separated
+    groups this evaluates under 1% of the n0*n1 pairs. Where anchors find
+    no near opponent early, as on overlapping uniform groups, on
+    many duplicate points or on a grid, the call goes to
+    `tree_set_distance` instead; `elapsed_ns` then covers the scan and the
+    tree but not scipy's first import. Memory stays O(n).
+    """
+    if partition.has_empty_group:
+        raise EmptyGroup("both groups must be nonempty to compute a distance")
+    start = time.perf_counter_ns()
+    z0, z1 = _group_points(dataset, partition, source)
+    largest = _EarlyBreak().run(z0, z1)
+    elapsed = time.perf_counter_ns() - start
+    if largest is None:
+        tree = tree_set_distance(dataset, partition, source)
+        return replace(tree, elapsed_ns=elapsed + tree.elapsed_ns)
+    return DistanceResult(
+        value=math.sqrt(largest), method="exact", label_source=source, elapsed_ns=elapsed
     )

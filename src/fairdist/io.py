@@ -478,10 +478,17 @@ def render_report(report, fmt: str = "json") -> str:
 
 def write_report(report, path: str, fmt: str = "json") -> None:
     """Write a record (or list of records) to disk; serialization is
-    bit-stable, so equal records yield byte-identical files."""
-    text = render_report(report, fmt)
+    bit-stable, so equal records yield byte-identical files.
+
+    The report is encoded before the file is opened: one that is not
+    valid UTF-8 text, such as one naming an input path with a byte that
+    is not UTF-8, raises IoError and leaves no file behind."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        data = render_report(report, fmt).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise IoError(f"cannot write {path}: the report is not valid UTF-8 text ({exc})") from exc
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -31,7 +31,7 @@ from .errors import (
     MissingPredictions,
     UndefinedRate,
 )
-from .exact import DistanceResult, tree_set_distance
+from .exact import DistanceResult, early_break_set_distance
 
 
 def hfm(d_f: float, d: float) -> float:
@@ -56,10 +56,12 @@ def set_distance(
     params: ApproxParams | None,
 ) -> DistanceResult:
     """One between-group distance by `method`: "exact", which ignores
-    `params` and takes the k-d tree route (`tree_set_distance`, equal bit
-    for bit to `exact_set_distance`), or "approx" with `params`."""
+    `params` and takes the early-break route (`early_break_set_distance`,
+    equal bit for bit to `exact_set_distance`; scipy's k-d tree is
+    imported only on the inputs it hands over), or "approx" with
+    `params`."""
     if method == "exact":
-        return tree_set_distance(dataset, partition, source)
+        return early_break_set_distance(dataset, partition, source)
     if method != "approx":
         raise InvalidArgument(f"unknown distance method {method!r}")
     return approx_set_distance(dataset, partition, source, params)
@@ -76,7 +78,10 @@ def hfm_distances(
 
     The approx runs draw their projection directions from independent
     streams, derived from the master seed of `params` with the tags "D"
-    and "Df"; exact ignores `params`.
+    and "Df"; exact ignores `params` and takes `set_distance`'s
+    early-break route, which loads scipy only for a call it hands to the
+    k-d tree: importing scipy takes longer than both exact distances on
+    separated groups.
 
     The two distances share only read-only inputs, so d_f is computed on a
     worker thread while the calling thread computes d; numpy releases the

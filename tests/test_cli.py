@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fairdist import cli
@@ -36,11 +37,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def loaded_after_cli_import(module: str) -> bool:
-    """Whether `import fairdist.cli` in a fresh interpreter loads `module`."""
+def loaded_after_cli_import(module: str, then: str = "pass") -> bool:
+    """Whether `import fairdist.cli`, followed by the statement `then`, in
+    a fresh interpreter loads `module`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, fairdist.cli; print({module!r} in sys.modules)"
+    code = f"import sys, fairdist.cli; {then}; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -50,6 +52,26 @@ def loaded_after_cli_import(module: str) -> bool:
 def test_cli_import_leaves_scipy_out():
     # scipy.spatial dominates the import time; only the exact route needs it
     assert not loaded_after_cli_import("scipy")
+
+
+def test_exact_hfm_leaves_scipy_out(tmp_path):
+    # the early-break route settles separated groups without handing the
+    # call to scipy's k-d tree, whose import costs more than the distances
+    rng = np.random.Generator(np.random.PCG64(11))
+    path = tmp_path / "separated.csv"
+    lines = ["x1,x2,sex,y,yhat"]
+    for i in range(300):
+        male = i % 3 == 0
+        x1, x2 = rng.normal(0.3 if male else 0.7, 0.1, size=2).tolist()
+        y = int(rng.integers(1, 3))
+        lines.append(f"{x1!r},{x2!r},{'Male' if male else 'Female'},{y},{3 - y if i % 5 else y}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["hfm", "--method", "exact", "--input", str(path), "--features", "x1,x2",
+            "--sensitive", "sex", "--privileged", "Male", "--label", "y", "--prediction", "yhat",
+            "--out", str(tmp_path / "hfm.json")]  # fmt: skip
+    assert not loaded_after_cli_import("scipy", f"fairdist.cli.main({argv!r}) == 0 or sys.exit(1)")
+    report = json.loads((tmp_path / "hfm.json").read_text(encoding="utf-8"))
+    assert report["d"] > 0 and report["d_f"] > 0
 
 
 def test_cli_import_leaves_concurrent_futures_out():
@@ -492,6 +514,18 @@ class TestBench:
             rows = json.loads(handle.read())
         assert [row["dataset_id"] for row in rows] == [path, path]
         assert json.loads(out)["rows_ok"] == 2
+
+    def test_input_path_that_is_not_utf8_exits_two_without_a_file(self, capsys, tmp_path):
+        # the path's byte 0xff reaches the report as a lone surrogate,
+        # which a UTF-8 report file cannot hold
+        path = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"bad\xff.csv"))
+        shutil.copyfile(GM12, path)
+        out_path = str(tmp_path / "rows.json")
+        argv = ["bench", "--input", path, *SCHEMA12, "--m1", "2", "--out", out_path]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {out_path}: the report is not valid UTF-8")
+        assert not os.path.exists(out_path)
 
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")

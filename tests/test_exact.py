@@ -1,4 +1,6 @@
 import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from fairdist import (
 )
 from fairdist import exact as exact_module
 from fairdist.errors import EmptyGroup, InvalidArgument, MissingPredictions
-from fairdist.exact import tree_set_distance
+from fairdist.exact import early_break_set_distance, tree_set_distance
 
 from conftest import (
     PRED,
@@ -178,9 +180,9 @@ def tree_cases(draw):
     """A small dataset with two nonempty groups and a label source.
 
     Labels take one to three values, not always consecutive. Features lie
-    on the grid {0, 0.5, 1} half the time, so tied distances, duplicate
-    rows and distances of exactly 1 occur; either group may be a
-    singleton, and a dataset may have no features at all."""
+    on the grid {0, 0.5, 1} or are binary two times in three, so tied
+    distances, duplicate rows and distances of exactly 1 occur; either
+    group may be a singleton, and a dataset may have no features at all."""
     n = draw(st.integers(2, 40))
     nx = draw(st.integers(0, 4))
     n1 = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
@@ -189,8 +191,9 @@ def tree_cases(draw):
     sensitive = np.zeros((n, 1), dtype=int)
     sensitive[rng.permutation(n)[:n1]] = 1
     features = rng.uniform(0.0, 1.0, size=(n, nx))
-    if draw(st.booleans()):
-        features = np.round(features * 2) / 2
+    steps = draw(st.sampled_from([None, 2, 1]))
+    if steps:
+        features = np.round(features * steps) / steps
     labels = rng.choice(label_values, size=n)
     predictions = rng.choice(label_values, size=n)
     dataset = LabeledDataset(features, sensitive, labels, predictions)
@@ -335,3 +338,135 @@ class TestTreeSetDistance:
         )
         with pytest.raises(EmptyGroup):
             tree_set_distance(ds, one_sided, TRUE)
+
+
+class TestPairKernel:
+    """The early-break route's numpy kernel must round every pair as
+    scipy's `cdist` does, or its value would not be brute force's."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_row_minima_hex_equal_cdist(self, d):
+        _, cdist = exact_module._scipy_spatial()
+        rng = np.random.Generator(np.random.PCG64(d))
+        scales = 10.0 ** rng.integers(-6, 7, size=d)
+        grid = np.round(rng.uniform(size=(700, d)) * 2) / 2
+        cases = {
+            "uniform": (rng.uniform(size=(300, d)), rng.uniform(size=(400, d))),
+            "mixed scales": (rng.normal(size=(300, d)) * scales, rng.normal(size=(400, d)) * scales),
+            # many rows repeat, so many distances tie
+            "ties": (grid[:300], grid[300:]),
+            # more opponents than one kernel block holds
+            "long": (rng.uniform(size=(2, d)), rng.uniform(size=(70_000, d))),
+        }
+        for name, (a, b) in cases.items():
+            # both orders: the kernel puts the longer side on the inner axis
+            for anchors, opponents in ((a, b), (b, a)):
+                nearest = np.full(len(anchors), np.inf)
+                exact_module._PairKernel().lower(
+                    nearest, np.ascontiguousarray(anchors.T), np.ascontiguousarray(opponents.T)
+                )
+                want = cdist(anchors, opponents).min(axis=1)
+                assert [x.hex() for x in np.sqrt(nearest)] == [x.hex() for x in want], name
+
+
+# The early-break route's constants set so that each of its three
+# endings is taken on the small cases of `tree_cases`
+SCAN_PATHS = {
+    "early finish": {},
+    # every anchor that meets no opponent within the maximum among its
+    # first 4 is finished on its own
+    "far finish": {
+        "_FIRST_BATCH": 2,
+        "_LAST_BATCH": 8,
+        "_FIRST_SPAN": 1,
+        "_FAR_BUDGET": 4,
+    },
+    # the first round already scans more than -1 opponents per anchor
+    "tree": {"_FIRST_BATCH": 2, "_COUNTED_BATCH": 2, "_MEAN_CAP": -1},
+}
+
+
+@contextmanager
+def _recorded(path):
+    """The scans and tree calls of the early-break calls made inside it,
+    with the constants of SCAN_PATHS[path]."""
+    record = SimpleNamespace(scans=[], tree_calls=0)
+    tree = exact_module.tree_set_distance
+
+    class Scan(exact_module._EarlyBreak):
+        def __init__(self):
+            super().__init__()
+            record.scans.append(self)
+
+    def counted_tree(*args):
+        record.tree_calls += 1
+        return tree(*args)
+
+    with mock.patch.multiple(
+        exact_module, _EarlyBreak=Scan, tree_set_distance=counted_tree, **SCAN_PATHS[path]
+    ):
+        yield record
+
+
+class TestEarlyBreakSetDistance:
+    """The early-break route must return brute force's value bit for bit
+    on each of its paths; the scan order may change only its cost."""
+
+    @pytest.mark.parametrize("path", SCAN_PATHS)
+    @PROPERTY
+    @given(tree_cases())
+    def test_hex_equal_to_brute_force_and_naive(self, path, case):
+        dataset, partition, source = case
+        with _recorded(path):
+            got = early_break_set_distance(dataset, partition, source)
+        assert _hex_of(got) == _hex_of(exact_set_distance(dataset, partition, source))
+        assert _hex_of(got) == _hex_of(naive_set_distance_of(dataset, partition, source))
+
+    @pytest.mark.parametrize("path", SCAN_PATHS)
+    def test_each_path_is_taken(self, path, rng):
+        ds = random_grouped_dataset(rng, n_lo=40, n_hi=40, nx_hi=3)
+        part = _partition(ds)
+        with _recorded(path) as recorded:
+            got = early_break_set_distance(ds, part, TRUE)
+        assert _hex_of(got) == _hex_of(exact_set_distance(ds, part, TRUE))
+        (scan,) = recorded.scans
+        assert recorded.tree_calls == (path == "tree")
+        assert (scan.far > 0) == (path == "far finish")
+
+    def test_criterion_sweeps_hex_equal(self):
+        # the datasets of acceptance criteria 1 and 2, on both sources
+        for i, ds in enumerate(sweep_datasets()):
+            part = _partition(ds)
+            for source in (TRUE, PRED):
+                got = early_break_set_distance(ds, part, source)
+                assert _hex_of(got) == _hex_of(exact_set_distance(ds, part, source)), (i, source)
+
+    def test_memory_bounded_in_n(self, rng):
+        # the scan runs to its end here: the kernel's two blocks take
+        # 1 MiB, the reordered points and one batch's minima O(n)
+        ds = random_grouped_dataset(rng, n_lo=20_000, n_hi=20_000, nx_hi=3)
+        part = _partition(ds)
+        caps = {"_FAR_CAP": ds.n, "_MEAN_CAP": ds.n}
+        with _recorded("early finish") as recorded, mock.patch.multiple(exact_module, **caps):
+            tracemalloc.start()
+            try:
+                early_break_set_distance(ds, part, TRUE)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert recorded.tree_calls == 0
+        assert peak < 24 * 2**20
+
+    def test_result_and_rejections_match_brute_force(self, six_row_dataset):
+        ds, part = six_row_dataset
+        result = early_break_set_distance(ds, part, TRUE)
+        assert (result.method, result.label_source) == ("exact", TRUE)
+        assert (result.m1, result.m2, result.seed) == (None, None, None)
+        assert result.elapsed_ns > 0
+        with pytest.raises(MissingPredictions):
+            early_break_set_distance(ds, part, PRED)
+        one_sided = GroupPartition(
+            attr_indices=(0,), group0=np.arange(ds.n), group1=np.array([], dtype=int), n=ds.n
+        )
+        with pytest.raises(EmptyGroup):
+            early_break_set_distance(ds, one_sided, TRUE)
