@@ -5,8 +5,8 @@ from the true labels and once from a classifier's predictions, and
 reports the ratio minus one (the harmonic fairness measure). The exact
 distance comes from an early-break scan, with label-stratified k-d trees
 behind it, equal bit for bit to the O(n0*n1) brute-force baseline
-`exact_set_distance`; a sorted random-projection scan approximates it
-in O(n log n). Standard group
+`exact_set_distance` on the platforms the README names; a sorted
+random-projection scan approximates it in O(n log n). Standard group
 measures (demographic parity, equal opportunity, predictive quality
 parity, discriminative risk) and a CLI round out the package.
 

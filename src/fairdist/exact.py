@@ -8,7 +8,8 @@ space (insensitive features, label), so a row contributes the vector
 [y, x_1, ..., x_nx] and distances are plain Euclidean. Sensitive columns
 never enter the metric.
 
-Three routes compute the same value, bit for bit:
+Three routes compute the same value, bit for bit (for the early-break
+route, on the platforms `_PairKernel` names):
 
 - `exact_set_distance` is the brute-force baseline: it evaluates all
   n0*n1 point pairs, streaming the pair matrix block by block so memory
@@ -205,8 +206,9 @@ def tree_set_distance(
     )
 
 
-# The early-break route's constants, chosen on the inputs CHANGES.md
-# records for this route
+# The early-break route's constants. The two caps that send a call to
+# the tree sit well above what separated groups reach; CHANGES.md
+# records the inputs measured on each side of them
 _KERNEL_PAIRS = 256 * 256  # pairs in one block of the numpy pair kernel
 _FIRST_BATCH = 32  # anchors in each direction's first batch; doubles...
 _LAST_BATCH = 8192  # ...up to this
@@ -217,26 +219,16 @@ _MEAN_CAP = 1024  # mean opponents scanned per anchor before it does,
 _COUNTED_BATCH = 4 * _FIRST_BATCH  # counted over batches of this size on
 
 
-def _scan_order(start: int, stop: int) -> np.ndarray:
-    """A fixed pseudo-random permutation of range(stop - start): the
-    indices start..stop-1 sorted by their splitmix64 hash, a bijection, so
-    no two keys tie and disjoint ranges give unrelated orders. numpy's
-    random module is not imported for it."""
-    z = np.arange(start, stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.argsort(z)
-
-
 class _PairKernel:
     """Squared pair distances summed in column order, (a_j - b_j)**2 from
     j = 0 upward: the order in which scipy's `cdist` sums them before its
     one square root, so the square root of a sum is `cdist`'s distance
-    bit for bit. Points are the columns of (d, n) arrays. A block holds
-    at most _KERNEL_PAIRS pairs, in two buffers reused block after block."""
+    bit for bit. That holds while `cdist`'s compiled loop neither reorders
+    nor fuses its multiply-adds. `tests/test_exact.py::TestPairKernel`
+    checks it; it passed on x86-64 with numpy 2.4 / scipy 1.17, CI also
+    runs it on numpy 1.24 / scipy 1.10, and other architectures are
+    unchecked. Points are the columns of (d, n) arrays. A block holds at
+    most _KERNEL_PAIRS pairs, in two buffers reused block after block."""
 
     def __init__(self):
         self._total = np.empty(_KERNEL_PAIRS)
@@ -278,16 +270,16 @@ class _EarlyBreak:
     """One early-break scan over both directed terms, which share one
     running maximum of squared nearest-opponent distances.
 
-    Each group's points are taken in a fixed pseudo-random order, as
-    anchors and as opponents alike. The anchors go in batches, one
-    direction after the other, that double from _FIRST_BATCH; a batch
-    scans its opponents in blocks whose prefix doubles from _FIRST_SPAN,
-    and an anchor leaves as soon as its nearest opponent so far is within
-    the running maximum (`<=`: on duplicate points every distance ties at
-    0). An anchor still scanning after _FAR_BUDGET opponents is far: the
-    far anchors of a batch scan on one at a time, the largest nearest
-    distance first, so that one which sees every opponent raises the
-    maximum before the next one goes on.
+    Each group's points are taken in a fixed random order (from a seeded
+    numpy generator), as anchors and as opponents alike. The anchors go
+    in batches, one direction after the other, that double from
+    _FIRST_BATCH; a batch scans its opponents in blocks whose prefix
+    doubles from _FIRST_SPAN, and an anchor leaves as soon as its nearest
+    opponent so far is within the running maximum (`<=`: on duplicate
+    points every distance ties at 0). An anchor still scanning after
+    _FAR_BUDGET opponents is far: the far anchors of a batch scan on one
+    at a time, the largest nearest distance first, so that one which sees
+    every opponent raises the maximum before the next one goes on.
 
     The maximum comes only from anchors scanned in full, so it is the
     largest squared nearest distance bit for bit; the order changes only
@@ -303,22 +295,33 @@ class _EarlyBreak:
         self.largest = 0.0
         self.far = 0
 
-    def _batch(self, anchors: np.ndarray, opponents: np.ndarray) -> int | None:
-        """Settle one batch of anchors; returns the number of pairs its
-        scan evaluated before the far anchors were finished, or None when
-        too many anchors are far."""
-        n = opponents.shape[1]
-        nearest = np.full(anchors.shape[1], np.inf)
+    def _scan(
+        self, nearest: np.ndarray, anchors: np.ndarray, opponents: np.ndarray, done: int, limit: int
+    ) -> tuple[np.ndarray, int, int]:
+        """Scan the anchors on from opponent `done` up to opponent `limit`,
+        in blocks whose prefix doubles from _FIRST_SPAN, lowering nearest
+        (one entry per anchor) and dropping each anchor once it is within
+        the running maximum. Returns the indices of the anchors left, the
+        opponents scanned and the pairs evaluated."""
         active = np.arange(anchors.shape[1])
-        done = pairs = 0
-        while len(active) and done < min(n, _FAR_BUDGET):
-            stop = min(max(2 * done, _FIRST_SPAN), n)
+        pairs = 0
+        while len(active) and done < limit:
+            stop = min(max(2 * done, _FIRST_SPAN), limit)
             part = nearest[active]
             self.kernel.lower(part, anchors[:, active], opponents[:, done:stop])
             nearest[active] = part
             pairs += len(active) * (stop - done)
             active = active[part > self.largest]
             done = stop
+        return active, done, pairs
+
+    def _batch(self, anchors: np.ndarray, opponents: np.ndarray) -> int | None:
+        """Settle one batch of anchors; returns the number of pairs its
+        scan evaluated before the far anchors were finished, or None when
+        too many anchors are far."""
+        n = opponents.shape[1]
+        nearest = np.full(anchors.shape[1], np.inf)
+        active, done, pairs = self._scan(nearest, anchors, opponents, 0, min(n, _FAR_BUDGET))
         if done == n:
             self.largest = max(self.largest, nearest[active].max(initial=0.0))
             return pairs
@@ -328,36 +331,23 @@ class _EarlyBreak:
             self.far += 1
             if self.far > _FAR_CAP:
                 return None
-            self._finish(nearest[i : i + 1], anchors[:, i : i + 1], opponents, done)
+            # an anchor still outside after every opponent raises the maximum
+            left, _, _ = self._scan(nearest[i : i + 1], anchors[:, i : i + 1], opponents, done, n)
+            if len(left):
+                self.largest = nearest[i]
         return pairs
-
-    def _finish(self, nearest: np.ndarray, anchor: np.ndarray, opponents: np.ndarray, done: int):
-        """Scan one far anchor on from opponent `done`, in blocks whose
-        prefix doubles, until it is within the running maximum or has
-        seen every opponent and so raises the maximum."""
-        n = opponents.shape[1]
-        while done < n:
-            stop = min(max(2 * done, _FIRST_SPAN), n)
-            self.kernel.lower(nearest, anchor, opponents[:, done:stop])
-            if nearest[0] <= self.largest:
-                return
-            done = stop
-        self.largest = nearest[0]
 
     def run(self, z0: np.ndarray, z1: np.ndarray) -> float | None:
         """The largest squared nearest-opponent distance of the rows of
         z0 and z1, or None when the scan gives up."""
         # the groups take unrelated orders, so that groups listing the
         # same rows in the same order do not meet them in lockstep
-        n0, n = len(z0), len(z0) + len(z1)
-        points = [
-            np.ascontiguousarray(z0[_scan_order(0, n0)].T),
-            np.ascontiguousarray(z1[_scan_order(n0, n)].T),
-        ]
+        rng = np.random.default_rng(0)
+        points = [np.ascontiguousarray(z[rng.permutation(len(z))].T) for z in (z0, z1)]
         taken = [0, 0]
         size = _FIRST_BATCH
         pairs = anchors = 0
-        while taken[0] < n0 or taken[1] < n - n0:
+        while taken[0] < len(z0) or taken[1] < len(z1):
             for side in (0, 1):
                 batch = points[side][:, taken[side] : taken[side] + size]
                 if batch.shape[1] == 0:
@@ -379,7 +369,8 @@ def early_break_set_distance(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
 ) -> DistanceResult:
     """The symmetric between-group distance by an early-break scan,
-    equal bit for bit to `exact_set_distance`, without scipy.
+    equal bit for bit to `exact_set_distance` where `_PairKernel` rounds
+    as `cdist` does, without scipy.
 
     Pairs are evaluated by a numpy kernel that sums squared coordinate
     differences in `cdist`'s order, and an anchor stops at the first

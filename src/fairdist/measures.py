@@ -57,9 +57,9 @@ def set_distance(
 ) -> DistanceResult:
     """One between-group distance by `method`: "exact", which ignores
     `params` and takes the early-break route (`early_break_set_distance`,
-    equal bit for bit to `exact_set_distance`; scipy's k-d tree is
-    imported only on the inputs it hands over), or "approx" with
-    `params`."""
+    equal bit for bit to `exact_set_distance` on the platforms its pair
+    kernel was checked on; scipy's k-d tree is imported only on the
+    inputs it hands over), or "approx" with `params`."""
     if method == "exact":
         return early_break_set_distance(dataset, partition, source)
     if method != "approx":
