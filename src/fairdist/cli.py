@@ -358,7 +358,8 @@ def _add_schema_options(
 
 
 def _add_partition_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("partition")
+    # --attr and --joint name different partitions: both is a usage error
+    group = parser.add_argument_group("partition").add_mutually_exclusive_group()
     group.add_argument("--attr", help="sensitive column to split on (default: first)")
     group.add_argument(
         "--joint",

@@ -8,21 +8,23 @@ space (insensitive features, label), so a row contributes the vector
 [y, x_1, ..., x_nx] and distances are plain Euclidean. Sensitive columns
 never enter the metric.
 
-Three routes compute the same value, bit for bit (for the early-break
-route, on the platforms `_PairKernel` names):
+Three routes compute the same value, bit for bit, by construction: every
+pair distance any of them returns comes from one numpy kernel,
+`_PairKernel`, and only the order in which pairs are evaluated differs.
 
 - `exact_set_distance` is the brute-force baseline: it evaluates all
   n0*n1 point pairs, streaming the pair matrix block by block so memory
-  stays O(block^2) while both directed terms are accumulated in one pass.
+  stays O(block) while both directed terms are accumulated in one pass.
 - `early_break_set_distance` is the route `dist`/`hfm --method exact`
-  and `hfm_distances` take: Taha and Hanbury's early-break scan in numpy
-  alone, which stops an anchor's scan as soon as an opponent lies within
-  the running maximum. It imports no scipy, whose import costs more than
-  the scan on separated groups; on inputs where the scan finds no near
-  opponents early it hands the call to the tree route.
+  and `hfm_distances` take: Taha and Hanbury's early-break scan, which
+  stops an anchor's scan as soon as an opponent lies within the running
+  maximum. It imports no scipy, whose import costs more than the scan
+  on separated groups; on inputs where the scan finds no near opponents
+  early it hands the call to the tree route.
 - `tree_set_distance`: label-stratified k-d tree queries, with the
-  anchors that tie the largest distance recomputed by the brute-force
-  pair kernel, so the value is the baseline's by construction.
+  anchors that tie the largest distance recomputed by the pair kernel,
+  so the value is the baseline's. It is the one route that imports
+  scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .dataset import GroupPartition, LabeledDataset, LabelSource
 from .errors import EmptyGroup, InvalidArgument
 
-_BLOCK = 1024
+_KERNEL_PAIRS = 256 * 256  # pairs in one block of the pair kernel
 
 
 @dataclass(frozen=True)
@@ -92,25 +94,69 @@ _TIE_RTOL = 1e-12
 
 def _scipy_spatial():
     # imported on first use: scipy.spatial dominates the package's import
-    # time, and only the exact routes need it
+    # time, and only the tree route needs it
     from scipy.spatial import cKDTree
-    from scipy.spatial.distance import cdist
 
-    return cKDTree, cdist
+    return cKDTree
 
 
-def _pair_minima(za: np.ndarray, zb: np.ndarray, cdist) -> tuple[np.ndarray, np.ndarray]:
+class _PairKernel:
+    """Squared pair distances summed in column order, (a_j - b_j)**2 from
+    j = 0 upward, with nothing reordered or fused. It is the only code
+    that evaluates pair distances, so every route rounds each pair alike
+    and the square root of a minimum is the same bits whichever route
+    found it. Points are the columns of (d, n) arrays. A block holds at
+    most _KERNEL_PAIRS pairs, in two buffers reused block after block."""
+
+    def __init__(self):
+        self._total = np.empty(_KERNEL_PAIRS)
+        self._term = np.empty(_KERNEL_PAIRS)
+
+    def _squares(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        shape = (rows.shape[1], cols.shape[1])
+        total = self._total[: shape[0] * shape[1]].reshape(shape)
+        term = self._term[: total.size].reshape(shape)
+        np.subtract(rows[0][:, None], cols[0], out=total)
+        np.multiply(total, total, out=total)
+        for j in range(1, len(rows)):
+            np.subtract(rows[j][:, None], cols[j], out=term)
+            np.multiply(term, term, out=term)
+            np.add(total, term, out=total)
+        return total
+
+    def lower(
+        self, nearest: np.ndarray, anchors: np.ndarray, opponents: np.ndarray, theirs=None
+    ) -> None:
+        """Lower nearest[i] to the squared distance from anchor i to its
+        nearest opponent and, when `theirs` is given, theirs[k] to the
+        squared distance from opponent k to its nearest anchor. One side
+        may be empty, not both."""
+        # (a_j - b_j)**2 and (b_j - a_j)**2 are the same bits, so the
+        # longer side may run along the inner axis
+        flip = anchors.shape[1] > opponents.shape[1]
+        rows, cols = (opponents, anchors) if flip else (anchors, opponents)
+        row_min, col_min = (theirs, nearest) if flip else (nearest, theirs)
+        width = min(cols.shape[1], _KERNEL_PAIRS)
+        height = _KERNEL_PAIRS // width
+        for i in range(0, rows.shape[1], height):
+            for k in range(0, cols.shape[1], width):
+                block = self._squares(rows[:, i : i + height], cols[:, k : k + width])
+                if row_min is not None:
+                    out = row_min[i : i + height]
+                    np.minimum(out, block.min(axis=1), out=out)
+                if col_min is not None:
+                    out = col_min[k : k + width]
+                    np.minimum(out, block.min(axis=0), out=out)
+
+
+def _pair_minima(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column minima of the za-by-zb distance matrix, streamed
-    block by block: each row's nearest row of zb and each row of zb's
-    nearest row of za."""
+    through the pair kernel: each row's distance to its nearest row of zb
+    and each row of zb's distance to its nearest row of za."""
     min_a = np.full(len(za), np.inf)
     min_b = np.full(len(zb), np.inf)
-    for i in range(0, len(za), _BLOCK):
-        for j in range(0, len(zb), _BLOCK):
-            block = cdist(za[i : i + _BLOCK], zb[j : j + _BLOCK])
-            np.minimum(min_a[i : i + _BLOCK], block.min(axis=1), out=min_a[i : i + _BLOCK])
-            np.minimum(min_b[j : j + _BLOCK], block.min(axis=0), out=min_b[j : j + _BLOCK])
-    return min_a, min_b
+    _PairKernel().lower(min_a, np.ascontiguousarray(za.T), np.ascontiguousarray(zb.T), min_b)
+    return np.sqrt(min_a), np.sqrt(min_b)
 
 
 def _group_points(
@@ -130,14 +176,13 @@ def exact_set_distance(
     the other routes are checked against.
 
     Cost is O(n0*n1) point-distance evaluations; both directed terms are
-    accumulated from one streamed pass over the pair blocks.
+    accumulated from one streamed pass over the pair kernel's blocks.
     """
     if partition.has_empty_group:
         raise EmptyGroup("both groups must be nonempty to compute a distance")
-    _, cdist = _scipy_spatial()  # a first import stays out of elapsed_ns
     start = time.perf_counter_ns()
     z0, z1 = _group_points(dataset, partition, source)
-    min0, min1 = _pair_minima(z0, z1, cdist)
+    min0, min1 = _pair_minima(z0, z1)
     value = float(max(min0.max(), min1.max()))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(
@@ -176,14 +221,14 @@ def tree_set_distance(
     own label, and falls back to a tree over the whole opposite group
     when that finds nothing within 1. The anchors whose tree distance is
     within a relative 1e-12 of the largest one are recomputed with the
-    brute-force pair kernel, so the maximum is the baseline's. Memory
-    stays O(n). The recompute costs O(ties * n) pairs, capped at brute
-    force's n0*n1, which it reaches when most anchors tie, as when both
-    groups hold the same points.
+    pair kernel, so the maximum is the baseline's. Memory stays O(n).
+    The recompute costs O(ties * n) pairs, capped at brute force's n0*n1,
+    which it reaches when most anchors tie, as when both groups hold the
+    same points.
     """
     if partition.has_empty_group:
         raise EmptyGroup("both groups must be nonempty to compute a distance")
-    cKDTree, cdist = _scipy_spatial()  # a first import stays out of elapsed_ns
+    cKDTree = _scipy_spatial()  # a first import stays out of elapsed_ns
     start = time.perf_counter_ns()
     z0, z1 = _group_points(dataset, partition, source)
     near0 = _tree_nearest(z0, z1, cKDTree)
@@ -195,10 +240,10 @@ def tree_set_distance(
     # the ties would cost more pairs than that, it does exactly that
     n0, n1 = len(z0), len(z1)
     if int(ties0.sum()) * n1 + n0 * int(ties1.sum()) >= n0 * n1:
-        min0, min1 = _pair_minima(z0, z1, cdist)
+        min0, min1 = _pair_minima(z0, z1)
     else:
-        min0, _ = _pair_minima(z0[ties0], z1, cdist)
-        _, min1 = _pair_minima(z0, z1[ties1], cdist)
+        min0, _ = _pair_minima(z0[ties0], z1)
+        _, min1 = _pair_minima(z0, z1[ties1])
     value = float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(
@@ -209,7 +254,6 @@ def tree_set_distance(
 # The early-break route's constants. The two caps that send a call to
 # the tree sit well above what separated groups reach; CHANGES.md
 # records the inputs measured on each side of them
-_KERNEL_PAIRS = 256 * 256  # pairs in one block of the numpy pair kernel
 _FIRST_BATCH = 32  # anchors in each direction's first batch; doubles...
 _LAST_BATCH = 8192  # ...up to this
 _FIRST_SPAN = 8  # opponents a batch scans first; the scanned prefix doubles
@@ -217,53 +261,6 @@ _FAR_BUDGET = 4096  # opponents an anchor scans before it counts as far
 _FAR_CAP = 1024  # far anchors scanned on before the call goes to the tree
 _MEAN_CAP = 1024  # mean opponents scanned per anchor before it does,
 _COUNTED_BATCH = 4 * _FIRST_BATCH  # counted over batches of this size on
-
-
-class _PairKernel:
-    """Squared pair distances summed in column order, (a_j - b_j)**2 from
-    j = 0 upward: the order in which scipy's `cdist` sums them before its
-    one square root, so the square root of a sum is `cdist`'s distance
-    bit for bit. That holds while `cdist`'s compiled loop neither reorders
-    nor fuses its multiply-adds. `tests/test_exact.py::TestPairKernel`
-    checks it; it passed on x86-64 with numpy 2.4 / scipy 1.17, CI also
-    runs it on numpy 1.24 / scipy 1.10, and other architectures are
-    unchecked. Points are the columns of (d, n) arrays. A block holds at
-    most _KERNEL_PAIRS pairs, in two buffers reused block after block."""
-
-    def __init__(self):
-        self._total = np.empty(_KERNEL_PAIRS)
-        self._term = np.empty(_KERNEL_PAIRS)
-
-    def _squares(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        shape = (rows.shape[1], cols.shape[1])
-        total = self._total[: shape[0] * shape[1]].reshape(shape)
-        term = self._term[: total.size].reshape(shape)
-        np.subtract(rows[0][:, None], cols[0], out=total)
-        np.multiply(total, total, out=total)
-        for j in range(1, len(rows)):
-            np.subtract(rows[j][:, None], cols[j], out=term)
-            np.multiply(term, term, out=term)
-            np.add(total, term, out=total)
-        return total
-
-    def lower(self, nearest: np.ndarray, anchors: np.ndarray, opponents: np.ndarray) -> None:
-        """Lower nearest[i] to the squared distance from anchor i to its
-        nearest opponent; both sides must be nonempty."""
-        # (a_j - b_j)**2 and (b_j - a_j)**2 are the same bits, so the
-        # longer side may run along the inner axis
-        flip = anchors.shape[1] > opponents.shape[1]
-        rows, cols = (opponents, anchors) if flip else (anchors, opponents)
-        width = min(cols.shape[1], _KERNEL_PAIRS)
-        height = _KERNEL_PAIRS // width
-        for i in range(0, rows.shape[1], height):
-            for k in range(0, cols.shape[1], width):
-                block = self._squares(rows[:, i : i + height], cols[:, k : k + width])
-                if flip:
-                    out = nearest[k : k + width]
-                    np.minimum(out, block.min(axis=0), out=out)
-                else:
-                    out = nearest[i : i + height]
-                    np.minimum(out, block.min(axis=1), out=out)
 
 
 class _EarlyBreak:
@@ -369,17 +366,16 @@ def early_break_set_distance(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
 ) -> DistanceResult:
     """The symmetric between-group distance by an early-break scan,
-    equal bit for bit to `exact_set_distance` where `_PairKernel` rounds
-    as `cdist` does, without scipy.
+    equal bit for bit to `exact_set_distance`, without scipy.
 
-    Pairs are evaluated by a numpy kernel that sums squared coordinate
-    differences in `cdist`'s order, and an anchor stops at the first
-    opponent within the running maximum (see `_EarlyBreak`). On separated
-    groups this evaluates under 1% of the n0*n1 pairs. Where anchors find
-    no near opponent early, as on overlapping uniform groups, on
-    many duplicate points or on a grid, the call goes to
-    `tree_set_distance` instead; `elapsed_ns` then covers the scan and the
-    tree but not scipy's first import. Memory stays O(n).
+    Pairs are evaluated by the pair kernel that brute force uses, and an
+    anchor stops at the first opponent within the running maximum (see
+    `_EarlyBreak`). On separated groups this evaluates under 1% of the
+    n0*n1 pairs. Where anchors find no near opponent early, as on
+    overlapping uniform groups, on many duplicate points or on a grid,
+    the call goes to `tree_set_distance` instead; `elapsed_ns` then
+    covers the scan and the tree but not scipy's first import. Memory
+    stays O(n).
     """
     if partition.has_empty_group:
         raise EmptyGroup("both groups must be nonempty to compute a distance")

@@ -65,10 +65,12 @@ class DatasetSchema:
     marks the privileged group (encoded as 1; every other value as 0).
     label_values, when given, is the ordered list of raw label strings,
     mapped to 1..n_c by position; otherwise label cells must already be
-    positive integers. prediction_flipped_column names the predictions
-    made on attribute-disturbed rows (for discriminative risk); it is
-    decoded like the predictions and may name any column, the prediction
-    column included, so it takes no part in the role-overlap check.
+    positive integers. label_values must not repeat, and positive_label is
+    a code: at least 1 and, with label_values, at most their number.
+    prediction_flipped_column names the predictions made on
+    attribute-disturbed rows (for discriminative risk); it is decoded like
+    the predictions and may name any column, the prediction column
+    included, so it takes no part in the role-overlap check.
     feature_columns may be empty: the group measures need no features,
     and a read that names none parses and scales no real-valued column.
     """
@@ -98,6 +100,18 @@ class DatasetSchema:
         )
         if len(set(names)) != len(names):
             raise SchemaMismatch("schema column roles overlap")
+        if self.positive_label < 1:
+            raise SchemaMismatch(
+                f"positive label {self.positive_label} is not a label code: codes start at 1"
+            )
+        if self.label_values is not None:
+            if len(set(self.label_values)) != len(self.label_values):
+                raise SchemaMismatch("label values must not repeat")
+            if self.positive_label > len(self.label_values):
+                raise SchemaMismatch(
+                    f"positive label {self.positive_label} is beyond the "
+                    f"{len(self.label_values)} declared label values"
+                )
 
 
 @dataclass(frozen=True)

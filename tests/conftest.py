@@ -48,12 +48,27 @@ def two_group_dataset(points0, labels0, points1, labels1):
 
 
 def naive_point_distance(xa, ya, xb, yb, counter=None) -> float:
+    """The Euclidean distance of [ya, xa...] and [yb, xb...], its squared
+    differences summed in column order. Each square is a product: `** 2`
+    goes through the C library's pow, which need not round as x * x."""
     if counter is not None:
         counter[0] += 1
-    total = (ya - yb) ** 2
+    total = (ya - yb) * (ya - yb)
     for a, b in zip(xa, xb):
-        total += (a - b) ** 2
+        total += (a - b) * (a - b)
     return math.sqrt(total)
+
+
+def column_order_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The squared distances from each row of a to each row of b, summed
+    in column order over the whole matrix at once, without blocks: kept
+    frozen as the reference for the pair kernel on inputs too large for
+    `naive_point_distance`."""
+    total = np.zeros((len(a), len(b)))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[:, j]
+        total += diff * diff
+    return total
 
 
 def project(features: np.ndarray, value: float, w: ProjectionVector) -> float:

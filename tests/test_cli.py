@@ -74,6 +74,23 @@ def test_exact_hfm_leaves_scipy_out(tmp_path):
     assert report["d"] > 0 and report["d_f"] > 0
 
 
+def test_brute_force_leaves_scipy_out(tmp_path):
+    # brute force evaluates its pairs with the numpy kernel the early-break
+    # scan uses; only the k-d tree route imports scipy
+    call = (
+        "import numpy as np, fairdist as fd; "
+        "ds = fd.LabeledDataset(np.array([[0.1], [0.9], [0.4]]), np.array([[0], [1], [1]]), "
+        "[1, 2, 1]); "
+        "fd.exact_set_distance(ds, fd.partition_by_attribute(ds, 0), fd.LabelSource.TRUE_LABELS)"
+    )
+    assert not loaded_after_cli_import("scipy", call)
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--count", "2", "--min-n", "40", "--max-n", "60", "--out", str(out)]
+    assert not loaded_after_cli_import("scipy", f"fairdist.cli.main({argv!r}) == 0 or sys.exit(1)")
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert len(rows) == 2
+
+
 def test_cli_import_leaves_concurrent_futures_out():
     # hfm_distances runs its worker on a plain threading.Thread:
     # concurrent.futures would pull in logging at import time
@@ -451,6 +468,33 @@ class TestPartitionAndLabelOptions:
             assert got[0] == 0
             reports.append(got[1])
         assert reports[0] != reports[1]
+
+    def test_attr_with_joint_is_a_usage_error(self, capsys, tmp_path):
+        # each names a partition; before, --attr was silently dropped
+        path = two_attr_csv(tmp_path, CODES)
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--input", path, *TWO_ATTR_SCHEMA, "--attr", "sex", "--joint"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --attr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, coding, message",
+        [
+            ("group-metrics", ["--label-values", "lo,mid,hi", "--positive-label", "0"],
+             "positive label 0 is not a label code: codes start at 1"),
+            ("group-metrics", ["--label-values", "lo,mid,hi", "--positive-label", "4"],
+             "positive label 4 is beyond the 3 declared label values"),
+            ("dist", ["--label-values", "lo,mid,hi,lo"], "label values must not repeat"),
+        ],
+        ids=["positive label below 1", "positive label beyond the values", "repeated values"],
+    )  # fmt: skip
+    def test_label_coding_is_checked(self, capsys, tmp_path, command, coding, message):
+        # before, each ran to exit 0: group-metrics reported DP 0 and
+        # "undefined" rates for a positive label no row can have
+        path = two_attr_csv(tmp_path)
+        code, out, err = run(capsys, [command, "--input", path, *TWO_ATTR_SCHEMA, *coding])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
 
     def test_undeclared_label_exits_two(self, capsys, tmp_path):
         path = two_attr_csv(tmp_path)

@@ -22,6 +22,7 @@ from fairdist.exact import early_break_set_distance, tree_set_distance
 from conftest import (
     PRED,
     TRUE,
+    column_order_squares,
     make_dataset,
     naive_point_distance,
     naive_set_distance_of,
@@ -220,8 +221,7 @@ class _RoundingTree:
 
 
 def _rounding_trees():
-    _, cdist = exact_module._scipy_spatial()
-    return mock.patch.object(exact_module, "_scipy_spatial", lambda: (_RoundingTree, cdist))
+    return mock.patch.object(exact_module, "_scipy_spatial", lambda: _RoundingTree)
 
 
 def _hex_of(result_or_value):
@@ -287,9 +287,9 @@ class TestTreeSetDistance:
         pairs = [0]
         kernel = exact_module._pair_minima
 
-        def counted(za, zb, cdist):
+        def counted(za, zb):
             pairs[0] += len(za) * len(zb)
-            return kernel(za, zb, cdist)
+            return kernel(za, zb)
 
         with mock.patch.object(exact_module, "_pair_minima", counted):
             tree_set_distance(dataset, partition, source)
@@ -313,7 +313,7 @@ class TestTreeSetDistance:
 
     def test_memory_bounded_in_n(self, rng):
         # the full pair matrix of these 20,000 rows would take 760 MB; the
-        # pair kernel's blocks and their minima take 17 MiB at most
+        # pair kernel's two block buffers take 1 MiB, the trees and minima O(n)
         ds = random_grouped_dataset(rng, n_lo=20_000, n_hi=20_000, nx_hi=3)
         part = _partition(ds)
         exact_module._scipy_spatial()  # the first import allocates too
@@ -340,33 +340,68 @@ class TestTreeSetDistance:
             tree_set_distance(ds, one_sided, TRUE)
 
 
-class TestPairKernel:
-    """The early-break route's numpy kernel must round every pair as
-    scipy's `cdist` does, or its value would not be brute force's."""
+def _kernel_minima(anchors, opponents):
+    """The pair kernel's distances on rows of points: each anchor's to its
+    nearest opponent from a one-sided call, then each anchor's and each
+    opponent's from one two-sided call."""
+    kernel = exact_module._PairKernel()
+    columns = np.ascontiguousarray(anchors.T), np.ascontiguousarray(opponents.T)
+    one_sided = np.full(len(anchors), np.inf)
+    kernel.lower(one_sided, *columns)
+    nearest, theirs = np.full(len(anchors), np.inf), np.full(len(opponents), np.inf)
+    kernel.lower(nearest, *columns, theirs=theirs)
+    return np.sqrt(one_sided), np.sqrt(nearest), np.sqrt(theirs)
 
+
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+class TestPairKernel:
+    """The one pair kernel must sum every pair's squared differences in
+    column order, whichever side runs along its inner axis and over
+    however many blocks, or the three exact routes would not agree."""
+
+    # named for scipy's cdist, the reference before the kernel served every
+    # route; the name stays so that the suite's test ids do not change
     @pytest.mark.parametrize("d", range(1, 17))
     def test_row_minima_hex_equal_cdist(self, d):
-        _, cdist = exact_module._scipy_spatial()
         rng = np.random.Generator(np.random.PCG64(d))
         scales = 10.0 ** rng.integers(-6, 7, size=d)
-        grid = np.round(rng.uniform(size=(700, d)) * 2) / 2
+        grid = np.round(rng.uniform(size=(140, d)) * 2) / 2
         cases = {
-            "uniform": (rng.uniform(size=(300, d)), rng.uniform(size=(400, d))),
-            "mixed scales": (rng.normal(size=(300, d)) * scales, rng.normal(size=(400, d)) * scales),
+            "uniform": (rng.uniform(size=(60, d)), rng.uniform(size=(80, d))),
+            "mixed scales": (rng.normal(size=(60, d)) * scales, rng.normal(size=(80, d)) * scales),
             # many rows repeat, so many distances tie
-            "ties": (grid[:300], grid[300:]),
+            "ties": (grid[:60], grid[60:]),
             # more opponents than one kernel block holds
             "long": (rng.uniform(size=(2, d)), rng.uniform(size=(70_000, d))),
         }
         for name, (a, b) in cases.items():
-            # both orders: the kernel puts the longer side on the inner axis
-            for anchors, opponents in ((a, b), (b, a)):
-                nearest = np.full(len(anchors), np.inf)
-                exact_module._PairKernel().lower(
-                    nearest, np.ascontiguousarray(anchors.T), np.ascontiguousarray(opponents.T)
+            if name == "long":
+                pairs = np.sqrt(column_order_squares(a, b))
+            else:
+                pairs = np.array(
+                    [[naive_point_distance(p[1:], p[0], q[1:], q[0]) for q in b] for p in a]
                 )
-                want = cdist(anchors, opponents).min(axis=1)
-                assert [x.hex() for x in np.sqrt(nearest)] == [x.hex() for x in want], name
+            # both orders: the kernel puts the longer side on the inner axis
+            for (anchors, opponents), axis in (((a, b), 1), ((b, a), 0)):
+                mine, theirs = pairs.min(axis=axis), pairs.min(axis=1 - axis)
+                one_sided, nearest, their_nearest = _kernel_minima(anchors, opponents)
+                assert _hexes(one_sided) == _hexes(mine), name
+                assert _hexes(nearest) == _hexes(mine), name
+                assert _hexes(their_nearest) == _hexes(theirs), name
+
+    def test_one_side_empty(self):
+        # the tree's recompute passes no anchors of a group without ties:
+        # the other side's minima stay infinite
+        points = np.random.Generator(np.random.PCG64(1)).uniform(size=(5, 3))
+        for anchors, opponents in ((points, points[:0]), (points[:0], points)):
+            _, nearest, theirs = _kernel_minima(anchors, opponents)
+            assert (len(nearest), len(theirs)) == (len(anchors), len(opponents))
+            assert np.isinf(nearest).all() and np.isinf(theirs).all()
+        mine, theirs = exact_module._pair_minima(points[:0], points)
+        assert len(mine) == 0 and np.isinf(theirs).all()
 
 
 # The early-break route's constants set so that each of its three
