@@ -150,13 +150,19 @@ class _PairKernel:
 
 
 def _pair_minima(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column minima of the za-by-zb distance matrix, streamed
-    through the pair kernel: each row's distance to its nearest row of zb
-    and each row of zb's distance to its nearest row of za."""
-    min_a = np.full(len(za), np.inf)
-    min_b = np.full(len(zb), np.inf)
+    """Each row of za's distance to its nearest row of zb and each row of
+    zb's to its nearest row of za, from one pass of the pair kernel."""
+    min_a, min_b = np.full(len(za), np.inf), np.full(len(zb), np.inf)
     _PairKernel().lower(min_a, np.ascontiguousarray(za.T), np.ascontiguousarray(zb.T), min_b)
     return np.sqrt(min_a), np.sqrt(min_b)
+
+
+def _nearest(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """Each row of za's distance to its nearest row of zb, by the pair kernel."""
+    nearest = np.full(len(za), np.inf)
+    if len(za):  # with no anchors, spare the transpose of zb
+        _PairKernel().lower(nearest, np.ascontiguousarray(za.T), np.ascontiguousarray(zb.T))
+    return np.sqrt(nearest)
 
 
 def _group_points(
@@ -235,15 +241,12 @@ def tree_set_distance(
     near1 = _tree_nearest(z1, z0, cKDTree)
     cutoff = max(near0.max(), near1.max()) * (1.0 - _TIE_RTOL)
     ties0, ties1 = near0 >= cutoff, near1 >= cutoff
-    # the pair kernel sees group 0 as rows and group 1 as columns, as in
-    # exact_set_distance, so each pair's distance is rounded alike; when
-    # the ties would cost more pairs than that, it does exactly that
-    n0, n1 = len(z0), len(z1)
-    if int(ties0.sum()) * n1 + n0 * int(ties1.sum()) >= n0 * n1:
+    # the pair kernel rounds a pair alike from either side; when the ties
+    # would cost more pairs than brute force, it does brute force
+    if ties0.sum() * len(z1) + len(z0) * ties1.sum() >= len(z0) * len(z1):
         min0, min1 = _pair_minima(z0, z1)
     else:
-        min0, _ = _pair_minima(z0[ties0], z1)
-        _, min1 = _pair_minima(z0, z1[ties1])
+        min0, min1 = _nearest(z0[ties0], z1), _nearest(z1[ties1], z0)
     value = float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(

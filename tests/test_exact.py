@@ -285,13 +285,13 @@ class TestTreeSetDistance:
     def test_recompute_never_costs_more_than_brute_force(self, case):
         dataset, partition, source = case
         pairs = [0]
-        kernel = exact_module._pair_minima
+        lower = exact_module._PairKernel.lower
 
-        def counted(za, zb):
-            pairs[0] += len(za) * len(zb)
-            return kernel(za, zb)
+        def counted(kernel, nearest, anchors, opponents, theirs=None):
+            pairs[0] += anchors.shape[1] * opponents.shape[1]
+            return lower(kernel, nearest, anchors, opponents, theirs)
 
-        with mock.patch.object(exact_module, "_pair_minima", counted):
+        with mock.patch.object(exact_module._PairKernel, "lower", counted):
             tree_set_distance(dataset, partition, source)
         n0, n1 = partition.sizes
         assert pairs[0] <= n0 * n1
@@ -362,28 +362,28 @@ class TestPairKernel:
     column order, whichever side runs along its inner axis and over
     however many blocks, or the three exact routes would not agree."""
 
-    # named for scipy's cdist, the reference before the kernel served every
-    # route; the name stays so that the suite's test ids do not change
     @pytest.mark.parametrize("d", range(1, 17))
     def test_row_minima_hex_equal_cdist(self, d):
         rng = np.random.Generator(np.random.PCG64(d))
         scales = 10.0 ** rng.integers(-6, 7, size=d)
-        grid = np.round(rng.uniform(size=(140, d)) * 2) / 2
+        grid = np.round(rng.uniform(size=(700, d)) * 2) / 2
+        # the first three cases hold 120,000 pairs: two row blocks of the
+        # kernel, the second partial
         cases = {
-            "uniform": (rng.uniform(size=(60, d)), rng.uniform(size=(80, d))),
-            "mixed scales": (rng.normal(size=(60, d)) * scales, rng.normal(size=(80, d)) * scales),
+            "uniform": (rng.uniform(size=(300, d)), rng.uniform(size=(400, d))),
+            "mixed scales": (rng.normal(size=(300, d)) * scales, rng.normal(size=(400, d)) * scales),
             # many rows repeat, so many distances tie
-            "ties": (grid[:60], grid[60:]),
+            "ties": (grid[:300], grid[300:]),
             # more opponents than one kernel block holds
             "long": (rng.uniform(size=(2, d)), rng.uniform(size=(70_000, d))),
         }
         for name, (a, b) in cases.items():
-            if name == "long":
-                pairs = np.sqrt(column_order_squares(a, b))
-            else:
-                pairs = np.array(
-                    [[naive_point_distance(p[1:], p[0], q[1:], q[0]) for q in b] for p in a]
-                )
+            pairs = np.sqrt(column_order_squares(a, b))
+            # the frozen reference against the per-pair one, on a corner
+            naive = [
+                [naive_point_distance(p[1:], p[0], q[1:], q[0]) for q in b[:20]] for p in a[:2]
+            ]
+            assert _hexes(pairs[:2, :20].ravel()) == _hexes(np.ravel(naive)), name
             # both orders: the kernel puts the longer side on the inner axis
             for (anchors, opponents), axis in (((a, b), 1), ((b, a), 0)):
                 mine, theirs = pairs.min(axis=axis), pairs.min(axis=1 - axis)
@@ -402,6 +402,8 @@ class TestPairKernel:
             assert np.isinf(nearest).all() and np.isinf(theirs).all()
         mine, theirs = exact_module._pair_minima(points[:0], points)
         assert len(mine) == 0 and np.isinf(theirs).all()
+        assert len(exact_module._nearest(points[:0], points)) == 0
+        assert np.isinf(exact_module._nearest(points, points[:0])).all()
 
 
 # The early-break route's constants set so that each of its three
