@@ -9,7 +9,11 @@ land near it in the sorted order; and since the window is a subset of
 the opposite group, the per-anchor minimum can only overestimate the
 true nearest-opposite distance. Every trial therefore yields an upper
 bound on the exact set distance, and repeating with fresh directions and
-keeping the smallest trial result tightens it.
+keeping the smallest trial result tightens it. The bound holds up to
+the rounding of one pair distance: a trial sums a pair's squared
+differences with a row-wise einsum, the exact routes in column order,
+and on points of three or more coordinates the two can differ in the
+last bit, so a trial may come out one ulp below the exact value.
 
 The worst case is O(m1 * n * (log n + m2)) overall, against O(n0 * n1)
 for the exact computation. Measured at n=50k, 10 features and m2=10, a

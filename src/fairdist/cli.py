@@ -167,6 +167,16 @@ def cmd_hfm(args) -> int:
 
 def cmd_group_metrics(args) -> int:
     dataset, partition = _load(args, needs_predictions=True)
+    # with integer-coded labels nothing else bounds the positive label:
+    # one that no row carries would report DP 0 and undefined rates
+    positive = args.positive_label
+    if args.label_values is None and not (
+        positive in dataset.labels or positive in dataset.predictions
+    ):
+        raise SchemaMismatch(
+            f"positive label {positive} occurs in neither the label nor the prediction "
+            "column; declare the label values with --label-values to use a code no row has"
+        )
     record = {}
     for key, measure in (
         ("demographic_parity", demographic_parity),
@@ -174,7 +184,7 @@ def cmd_group_metrics(args) -> int:
         ("predictive_quality_parity", predictive_quality_parity),
     ):
         try:
-            record[key] = measure(dataset, partition, args.positive_label)
+            record[key] = measure(dataset, partition, positive)
         except UndefinedRate:
             record[key] = "undefined"
     if dataset.predictions_flipped is not None:

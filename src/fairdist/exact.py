@@ -20,18 +20,23 @@ pair distance any of them returns comes from one numpy kernel,
   stops an anchor's scan as soon as an opponent lies within the running
   maximum. It imports no scipy, whose import costs more than the scan
   on separated groups; on inputs where the scan finds no near opponents
-  early it hands the call to the tree route.
+  early it hands its rows to the tree route.
 - `tree_set_distance`: label-stratified k-d tree queries, with the
   anchors that tie the largest distance recomputed by the pair kernel,
   so the value is the baseline's. It is the one route that imports
   scipy.
+
+Each route is a function of the two groups' rows that returns the
+distance; one frame, `_exact`, checks the groups, gathers their rows,
+times the call and builds the result. A result's `elapsed_ns` is the
+whole call's wall time, scipy's first import included.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,14 +154,6 @@ class _PairKernel:
                     np.minimum(out, block.min(axis=0), out=out)
 
 
-def _pair_minima(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of za's distance to its nearest row of zb and each row of
-    zb's to its nearest row of za, from one pass of the pair kernel."""
-    min_a, min_b = np.full(len(za), np.inf), np.full(len(zb), np.inf)
-    _PairKernel().lower(min_a, np.ascontiguousarray(za.T), np.ascontiguousarray(zb.T), min_b)
-    return np.sqrt(min_a), np.sqrt(min_b)
-
-
 def _nearest(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """Each row of za's distance to its nearest row of zb, by the pair kernel."""
     nearest = np.full(len(za), np.inf)
@@ -165,14 +162,32 @@ def _nearest(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.sqrt(nearest)
 
 
-def _group_points(
-    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact(
+    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, route
+) -> DistanceResult:
+    """The exact result whose value `route` computes from the rows of
+    group 0 and group 1, timed over the whole call."""
+    if partition.has_empty_group:
+        raise EmptyGroup("both groups must be nonempty to compute a distance")
+    start = time.perf_counter_ns()
     values = dataset.values_for(source).astype(np.float64)
-    return (
-        augmented_points(dataset.features[partition.group0], values[partition.group0]),
-        augmented_points(dataset.features[partition.group1], values[partition.group1]),
+    z0, z1 = (
+        augmented_points(dataset.features[group], values[group])
+        for group in (partition.group0, partition.group1)
     )
+    value = route(z0, z1)
+    elapsed = time.perf_counter_ns() - start
+    return DistanceResult(value=value, method="exact", label_source=source, elapsed_ns=elapsed)
+
+
+def _brute_force(z0: np.ndarray, z1: np.ndarray) -> float:
+    """The largest nearest-row distance of either group, from one
+    two-sided pass of the pair kernel over every pair. The square root,
+    monotone and correctly rounded, is taken once, of the largest
+    squared minimum: the same bits as the largest minimum."""
+    min0, min1 = np.full(len(z0), np.inf), np.full(len(z1), np.inf)
+    _PairKernel().lower(min0, np.ascontiguousarray(z0.T), np.ascontiguousarray(z1.T), min1)
+    return math.sqrt(max(min0.max(), min1.max()))
 
 
 def exact_set_distance(
@@ -184,16 +199,7 @@ def exact_set_distance(
     Cost is O(n0*n1) point-distance evaluations; both directed terms are
     accumulated from one streamed pass over the pair kernel's blocks.
     """
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
-    start = time.perf_counter_ns()
-    z0, z1 = _group_points(dataset, partition, source)
-    min0, min1 = _pair_minima(z0, z1)
-    value = float(max(min0.max(), min1.max()))
-    elapsed = time.perf_counter_ns() - start
-    return DistanceResult(
-        value=value, method="exact", label_source=source, elapsed_ns=elapsed
-    )
+    return _exact(dataset, partition, source, _brute_force)
 
 
 def _tree_nearest(za: np.ndarray, zb: np.ndarray, cKDTree) -> np.ndarray:
@@ -216,6 +222,22 @@ def _tree_nearest(za: np.ndarray, zb: np.ndarray, cKDTree) -> np.ndarray:
     return nearest
 
 
+def _tree(z0: np.ndarray, z1: np.ndarray) -> float:
+    """The label-stratified tree queries, then the pair kernel on the
+    anchors that tie the largest tree distance."""
+    cKDTree = _scipy_spatial()
+    near0 = _tree_nearest(z0, z1, cKDTree)
+    near1 = _tree_nearest(z1, z0, cKDTree)
+    cutoff = max(near0.max(), near1.max()) * (1.0 - _TIE_RTOL)
+    ties0, ties1 = near0 >= cutoff, near1 >= cutoff
+    # the pair kernel rounds a pair alike from either side; when the ties
+    # would cost more pairs than brute force, it does brute force
+    if ties0.sum() * len(z1) + len(z0) * ties1.sum() >= len(z0) * len(z1):
+        return _brute_force(z0, z1)
+    min0, min1 = _nearest(z0[ties0], z1), _nearest(z1[ties1], z0)
+    return float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
+
+
 def tree_set_distance(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
 ) -> DistanceResult:
@@ -232,26 +254,7 @@ def tree_set_distance(
     which it reaches when most anchors tie, as when both groups hold the
     same points.
     """
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
-    cKDTree = _scipy_spatial()  # a first import stays out of elapsed_ns
-    start = time.perf_counter_ns()
-    z0, z1 = _group_points(dataset, partition, source)
-    near0 = _tree_nearest(z0, z1, cKDTree)
-    near1 = _tree_nearest(z1, z0, cKDTree)
-    cutoff = max(near0.max(), near1.max()) * (1.0 - _TIE_RTOL)
-    ties0, ties1 = near0 >= cutoff, near1 >= cutoff
-    # the pair kernel rounds a pair alike from either side; when the ties
-    # would cost more pairs than brute force, it does brute force
-    if ties0.sum() * len(z1) + len(z0) * ties1.sum() >= len(z0) * len(z1):
-        min0, min1 = _pair_minima(z0, z1)
-    else:
-        min0, min1 = _nearest(z0[ties0], z1), _nearest(z1[ties1], z0)
-    value = float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
-    elapsed = time.perf_counter_ns() - start
-    return DistanceResult(
-        value=value, method="exact", label_source=source, elapsed_ns=elapsed
-    )
+    return _exact(dataset, partition, source, _tree)
 
 
 # The early-break route's constants. The two caps that send a call to
@@ -365,6 +368,12 @@ class _EarlyBreak:
         return self.largest
 
 
+def _early_break(z0: np.ndarray, z1: np.ndarray) -> float:
+    """The early-break scan, or the tree on the same rows when it gives up."""
+    largest = _EarlyBreak().run(z0, z1)
+    return _tree(z0, z1) if largest is None else math.sqrt(largest)
+
+
 def early_break_set_distance(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
 ) -> DistanceResult:
@@ -376,19 +385,8 @@ def early_break_set_distance(
     `_EarlyBreak`). On separated groups this evaluates under 1% of the
     n0*n1 pairs. Where anchors find no near opponent early, as on
     overlapping uniform groups, on many duplicate points or on a grid,
-    the call goes to `tree_set_distance` instead; `elapsed_ns` then
-    covers the scan and the tree but not scipy's first import. Memory
+    the scan gives up and the tree route takes the same rows;
+    `elapsed_ns` covers both, scipy's first import included. Memory
     stays O(n).
     """
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
-    start = time.perf_counter_ns()
-    z0, z1 = _group_points(dataset, partition, source)
-    largest = _EarlyBreak().run(z0, z1)
-    elapsed = time.perf_counter_ns() - start
-    if largest is None:
-        tree = tree_set_distance(dataset, partition, source)
-        return replace(tree, elapsed_ns=elapsed + tree.elapsed_ns)
-    return DistanceResult(
-        value=math.sqrt(largest), method="exact", label_source=source, elapsed_ns=elapsed
-    )
+    return _exact(dataset, partition, source, _early_break)

@@ -309,6 +309,20 @@ class TestGroupMetrics:
         assert record["equal_opportunity"] == "undefined"
         assert record["demographic_parity"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_positive_label_no_row_has_exits_two(self, capsys):
+        # labels and predictions here are 1 and 2: before, label 7 ran to
+        # exit 0 with DP 0 and "undefined" rates
+        schema = ["group-metrics", "--input", GM12, *SCHEMA12[:-2]]
+        code, out, err = run(capsys, [*schema, "--positive-label", "7"])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: positive label 7 occurs in neither")
+        assert "--label-values" in err
+        # declared label values admit a code that no row has
+        coding = ["--label-values", "1,2,7", "--positive-label", "3"]
+        code, out, err = run(capsys, [*schema, *coding])
+        assert code == 0, err
+        assert json.loads(out)["equal_opportunity"] == "undefined"
+
     def test_flipped_column_equal_to_predictions(self, capsys):
         # the prediction column may serve as its own disturbed copy: DR 0
         argv = ["group-metrics", "--input", GM12, *SCHEMA12, "--prediction-flipped", "yhat"]

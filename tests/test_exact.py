@@ -400,26 +400,22 @@ class TestPairKernel:
             _, nearest, theirs = _kernel_minima(anchors, opponents)
             assert (len(nearest), len(theirs)) == (len(anchors), len(opponents))
             assert np.isinf(nearest).all() and np.isinf(theirs).all()
-        mine, theirs = exact_module._pair_minima(points[:0], points)
-        assert len(mine) == 0 and np.isinf(theirs).all()
         assert len(exact_module._nearest(points[:0], points)) == 0
         assert np.isinf(exact_module._nearest(points, points[:0])).all()
 
 
-# The early-break route's constants set so that each of its three
-# endings is taken on the small cases of `tree_cases`
+# The early-break route's constants set so that each of its endings is
+# taken on the small cases of `tree_cases`. With FAR_FINISH every anchor
+# that meets no opponent within the maximum among its first 4 is
+# finished on its own
+FAR_FINISH = {"_FIRST_BATCH": 2, "_LAST_BATCH": 8, "_FIRST_SPAN": 1, "_FAR_BUDGET": 4}
 SCAN_PATHS = {
     "early finish": {},
-    # every anchor that meets no opponent within the maximum among its
-    # first 4 is finished on its own
-    "far finish": {
-        "_FIRST_BATCH": 2,
-        "_LAST_BATCH": 8,
-        "_FIRST_SPAN": 1,
-        "_FAR_BUDGET": 4,
-    },
+    "far finish": FAR_FINISH,
     # the first round already scans more than -1 opponents per anchor
     "tree": {"_FIRST_BATCH": 2, "_COUNTED_BATCH": 2, "_MEAN_CAP": -1},
+    # the first far anchor is one more than the cap allows
+    "far cap": {**FAR_FINISH, "_FAR_CAP": 0},
 }
 
 
@@ -428,7 +424,7 @@ def _recorded(path):
     """The scans and tree calls of the early-break calls made inside it,
     with the constants of SCAN_PATHS[path]."""
     record = SimpleNamespace(scans=[], tree_calls=0)
-    tree = exact_module.tree_set_distance
+    tree = exact_module._tree
 
     class Scan(exact_module._EarlyBreak):
         def __init__(self):
@@ -440,7 +436,7 @@ def _recorded(path):
         return tree(*args)
 
     with mock.patch.multiple(
-        exact_module, _EarlyBreak=Scan, tree_set_distance=counted_tree, **SCAN_PATHS[path]
+        exact_module, _EarlyBreak=Scan, _tree=counted_tree, **SCAN_PATHS[path]
     ):
         yield record
 
@@ -467,8 +463,8 @@ class TestEarlyBreakSetDistance:
             got = early_break_set_distance(ds, part, TRUE)
         assert _hex_of(got) == _hex_of(exact_set_distance(ds, part, TRUE))
         (scan,) = recorded.scans
-        assert recorded.tree_calls == (path == "tree")
-        assert (scan.far > 0) == (path == "far finish")
+        assert recorded.tree_calls == (path in ("tree", "far cap"))
+        assert (scan.far > 0) == (path in ("far finish", "far cap"))
 
     def test_criterion_sweeps_hex_equal(self):
         # the datasets of acceptance criteria 1 and 2, on both sources
