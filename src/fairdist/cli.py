@@ -24,18 +24,9 @@ from .errors import (
     DataInputError,
     InvalidArgument,
     SchemaMismatch,
-    UndefinedRate,
 )
 from .io import DatasetSchema, load_csv, render_report, write_report
-from .measures import (
-    demographic_parity,
-    discriminative_risk,
-    equal_opportunity,
-    hfm,
-    hfm_distances,
-    predictive_quality_parity,
-    set_distance,
-)
+from .measures import discriminative_risk, group_gaps, hfm, hfm_distances, set_distance
 from .theory import (
     approximation_success_bound,
     monte_carlo_projection_probability,
@@ -177,16 +168,8 @@ def cmd_group_metrics(args) -> int:
             f"positive label {positive} occurs in neither the label nor the prediction "
             "column; declare the label values with --label-values to use a code no row has"
         )
-    record = {}
-    for key, measure in (
-        ("demographic_parity", demographic_parity),
-        ("equal_opportunity", equal_opportunity),
-        ("predictive_quality_parity", predictive_quality_parity),
-    ):
-        try:
-            record[key] = measure(dataset, partition, positive)
-        except UndefinedRate:
-            record[key] = "undefined"
+    gaps = group_gaps(dataset, partition, positive)
+    record = {key: "undefined" if gap is None else gap for key, gap in gaps.items()}
     if dataset.predictions_flipped is not None:
         record["discriminative_risk"] = discriminative_risk(
             dataset.predictions, dataset.predictions_flipped

@@ -8,18 +8,22 @@ recorded in the scaling report. Missing cells are a hard error, never
 imputed: silently filling values would change distances. A schema may
 name no features; its read then converts no real-valued column at all.
 
-A file is read in one streaming pass: rows are taken CHUNK_ROWS at a time
-and converted column by column, so the memory a read needs is one
-chunk's strings plus the output arrays. The header is read by
-csv.reader. After it, a chunk of lines with no quote, carriage return or
-NUL, no line over csv.field_size_limit() and the header's number of
-commas on every line is split on commas in one go, which gives exactly
-the cells csv.reader would. The first chunk that is not so (a quoted
-cell, CRLF line ends, a ragged or blank line) and the rest of the file
-go through csv.reader, with the same values, errors and line numbers.
-`load_csv` reads every column a schema names, the disturbed-prediction
-column included, in that one pass; `read_int_column` reads a single
-column through the same reader.
+A file is read in one streaming pass over raw byte blocks of about
+BLOCK_BYTES, each cut after its last newline, so the memory a read needs
+is one block plus the output arrays. The header is read by csv.reader.
+After it, one numpy pass finds every comma and newline of a block, and
+bulk checks decide whether csv.reader would read each of its lines as
+line.split(","): no quote, carriage return or NUL, no line over
+csv.field_size_limit() and the header's number of commas on every line.
+Such a block converts only the columns a read names: real columns from
+the block's cells as strings, flag and label columns by comparing or
+decoding each distinct cell once. The first block that is not so (a
+quoted cell, CRLF line ends, a ragged or blank line) and the rest of the
+file go through csv.reader, with the same values, errors and line
+numbers. Bytes that are not UTF-8 are reported at their line, found in
+the block that holds them. `load_csv` reads every column a schema names,
+the disturbed-prediction column included, in that one pass;
+`read_int_column` reads a single column through the same reader.
 
 Reports are written with a fixed field order and reals rendered with 17
 significant digits, so identical records always produce byte-identical
@@ -33,10 +37,13 @@ writes a lone record as a one-row table.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat, starmap
+from functools import cached_property
+from io import StringIO
+from itertools import chain, islice, starmap
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,10 +58,12 @@ from .errors import (
     SchemaMismatch,
 )
 
-# rows per conversion step of the streaming reader; on a 200k-row,
-# 14-column file, 2^12 parsed about 9% faster than 2^15 (the chunk's
-# strings stay in cache) and holds an eighth of the strings at a time
-CHUNK_ROWS = 1 << 12
+# bytes per read of the streaming reader, each block then cut after its
+# last "\n". A read with real columns holds a block's cells as strings,
+# about five times its bytes: on a 30,000-row, 13-column file 2^19 kept
+# load_csv's tracemalloc peak at 6.7 MiB where 2^20 reached 10.3 MiB,
+# and the feature-free 200k-row read took 0.18 s against 0.17 s
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -180,81 +189,211 @@ def _column_index(header: list[str], name: str, path: str) -> int:
     return hits[0]
 
 
-def _undecodable_line(path: str) -> int:
-    """Number of the first line that is not valid UTF-8 (a newline byte
-    never occurs inside a multi-byte sequence, so lines decode alone)."""
-    with open(path, "rb") as handle:
-        for line, raw in enumerate(handle, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return line
-
-
-def _next_rows(source, count: int, path: str, lines_before: int = 0) -> list:
-    """Up to `count` further items of a file handle (lines) or a
-    csv.reader (rows); bytes that are not UTF-8 and cells the csv module
-    rejects (such as one over its field size limit) are reported as a
-    ParseError at their line. `lines_before` counts the physical lines
-    read before a reader's first."""
+def _decode(data: bytes, first_line: int) -> str:
+    r"""The text of a block whose first physical line is `first_line`.
+    Bytes that are not UTF-8 raise a ParseError at their own line: a
+    newline byte never occurs inside a multi-byte sequence, so the "\n"
+    before the fault count the lines."""
     try:
-        return list(islice(source, count))
-    except UnicodeDecodeError:
-        raise ParseError(_undecodable_line(path), "", "bytes are not valid UTF-8") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise ParseError(line, "", "bytes are not valid UTF-8") from None
+
+
+def _blocks(handle):
+    r"""A binary file's bytes in reads of BLOCK_BYTES, each block cut after
+    its last "\n" and the rest carried to the next; the file's last block
+    may end without one."""
+    rest = b""
+    while data := handle.read(BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            rest += data
+            continue
+        block, rest = rest + data[:cut], data[cut:]
+        del data
+        yield block
+        del block  # drop this block before reading the next
+    if rest:
+        yield rest
+
+
+class _Text:
+    r"""The blocks as csv.reader reads a file opened with newline="": each
+    decoded, then split into lines after "\n", "\r\n" or a lone "\r".
+    `stream` holds the block being read and `line` the physical line (one
+    per "\n") that the next block starts at."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.stream = StringIO()
+        self.line = 1
+
+    def __iter__(self):
+        return chain(self.stream, chain.from_iterable(map(self.open, self.blocks)))
+
+    def open(self, data: bytes) -> StringIO:
+        self.stream = StringIO(_decode(data, self.line), newline="")
+        self.line += data.count(b"\n")
+        return self.stream
+
+    def rest(self) -> bytes:
+        """The unread rest of the block being read; `line` then counts
+        from its start."""
+        rest = self.stream.read()
+        self.stream = StringIO()
+        self.line -= rest.count("\n")
+        return rest.encode("utf-8")
+
+
+def _next_rows(reader, count: int, lines_before: int = 0) -> list:
+    """Up to `count` further rows of a csv.reader; a cell it rejects (such
+    as one over its field size limit) is reported as a ParseError at its
+    line. `lines_before` counts the lines read before the reader's
+    first."""
+    try:
+        return list(islice(reader, count))
     except csv.Error as exc:
-        raise ParseError(source.line_num + lines_before, "", str(exc)) from None
+        raise ParseError(reader.line_num + lines_before, "", str(exc)) from None
 
 
-def _chunks(handle, width: int, lines_before: int, path: str):
-    """The records after the header, CHUNK_ROWS at a time, as
-    (first_line, cells, rows): `cells` lists a chunk's cells row after
-    row, or is None when its `rows` differ in width.
+def _separators(data: bytes, width: int, limit: int) -> np.ndarray | None:
+    r"""The positions of the commas and newlines of a block that ends in
+    "\n", as an (n, width) matrix with row i for line i, when csv.reader
+    would read every line as line.split(","); None otherwise.
 
-    Chunks of physical lines are split on commas while csv.reader would
-    return exactly line.split(","): no quote, carriage return or NUL, no
-    line over the field size limit, and `width - 1` commas on every line
-    (a one-column table could not tell a blank line, which csv.reader
-    reads as no cells, from an empty cell). The first chunk that fails
-    the test and the rest of the file go through csv.reader.
+    That holds for a block with no quote, carriage return or NUL, with
+    `width - 1` commas on every line, and with no line over the field size
+    `limit` (counted in bytes, never fewer than its characters, so
+    csv.reader could not reject a cell of it). A one-column table never
+    qualifies: it could not tell a blank line, which csv.reader reads as
+    no cells, from an empty cell.
+    """
+    if width < 2 or b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    codes = np.frombuffer(data, np.uint8)
+    found = codes == ord(",")
+    found |= codes == ord("\n")
+    seps = np.flatnonzero(found)
+    del found
+    if len(seps) % width:
+        return None
+    seps = seps.reshape(-1, width)
+    kinds = codes[seps]
+    if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
+        return None
+    if np.diff(seps[:, -1], prepend=-1).max() > limit:
+        return None
+    return seps
+
+
+def _distinct(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct cells in first-seen order, and each cell's position
+    among them."""
+    positions = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    return list(positions), np.fromiter(map(positions.__getitem__, cells), np.intp, len(cells))
+
+
+class _TextCells:
+    """A chunk's cells as strings, row after row, `width` to a row."""
+
+    def __init__(self, cells: list[str], width: int):
+        self.cells = cells
+        self.width = width
+        self.m = len(cells) // width
+
+    def strings(self, col: int) -> list[str]:
+        return self.cells[col :: self.width]
+
+    def distinct(self, col: int) -> tuple[list[str], np.ndarray]:
+        return _distinct(self.strings(col))
+
+    def rows(self) -> list[list[str]]:
+        w = self.width
+        return [self.cells[i : i + w] for i in range(0, len(self.cells), w)]
+
+
+class _ByteCells(_TextCells):
+    """A block that passed _separators: cell (i, j) is the bytes between
+    seps[i, j] and the separator before it. The cells become strings only
+    when a column asks for them, all in one split."""
+
+    def __init__(self, data: bytes, seps: np.ndarray):
+        self.data = data
+        self.seps = seps
+        self.width = seps.shape[1]
+        self.m = len(seps)
+
+    @cached_property
+    def cells(self) -> list[str]:
+        # no cell holds a comma or a newline
+        return self.data[:-1].decode("utf-8").replace("\n", ",").split(",")
+
+    def distinct(self, col: int) -> tuple[list[str], np.ndarray]:
+        """_distinct of the column. Cells of up to 8 bytes are zero-padded
+        to one uint64 key each (no cell holds a NUL), so only the distinct
+        keys are decoded; longer cells go through the strings."""
+        ends = self.seps[:, col]
+        if col:
+            starts = self.seps[:, col - 1] + 1
+        else:
+            starts = np.concatenate(([0], self.seps[:-1, -1] + 1))
+        sizes = ends - starts
+        longest = int(sizes.max())
+        if longest > 8:
+            return super().distinct(col)
+        offsets = np.arange(longest)
+        codes = np.frombuffer(self.data, np.uint8)
+        cells = codes.take(starts[:, None] + offsets, mode="clip")
+        padded = np.zeros((self.m, 8), np.uint8)
+        padded[:, :longest] = np.where(offsets < sizes[:, None], cells, 0)
+        keys, index = np.unique(padded.view(np.uint64).ravel(), return_inverse=True)
+        return [key.decode("utf-8") for key in keys.view("S8").tolist()], index
+
+
+def _chunks(text: _Text, width: int, lines_before: int):
+    """The records after the header as (first_line, cells), one block at
+    a time: `cells` is a _ByteCells, a _TextCells, or a list of rows when
+    they differ in width.
+
+    The rest of the header's block, then every later block, is split on
+    its separators (see _separators). The first block that fails the test
+    and the rest of the file go through csv.reader, in batches of as many
+    rows as that block has lines.
     """
     limit = csv.field_size_limit()
     line = 2
+    data = text.rest()
     while True:
-        lines = _next_rows(handle, CHUNK_ROWS, path)
-        if not lines:
+        if data:
+            ended = data if data.endswith(b"\n") else data + b"\n"
+            seps = _separators(ended, width, limit)
+            if seps is None:
+                break
+            cells = _ByteCells(ended, seps)
+            del data, ended, seps
+            yield line, cells
+            line += cells.m
+            text.line += cells.m
+            del cells  # drop this block before reading the next
+        data = next(text.blocks, None)
+        if data is None:
             return
-        text = ",".join(lines)
-        if not (
-            width > 1
-            and '"' not in text
-            and "\r" not in text
-            and "\0" not in text
-            and max(map(len, lines)) <= limit
-            and set(map(str.count, lines, repeat(","))) == {width - 1}
-        ):
-            break
-        m = len(lines)
-        del lines
-        # joined by commas, each line's "\n" sits before the next
-        # line's first cell, so dropping it leaves the cells alone
-        text = text.replace("\n", "")
-        cells = text.split(",")
-        del text
-        yield line, cells, None
-        del cells  # drop this chunk's strings before reading the next
-        line += m
-    del text
-    reader = csv.reader(chain(lines, handle))
-    del lines
+        _decode(data, text.line)
+    batch = max(1, data.count(b"\n"))
+    text.open(data)
+    del data
+    reader = csv.reader(text)
     lines_before += line - 2
-    while rows := _next_rows(reader, CHUNK_ROWS, path, lines_before):
+    while rows := _next_rows(reader, batch, lines_before):
         m = len(rows)
-        cells = None
+        cells = rows
         if set(map(len, rows)) == {width}:
-            cells, rows = list(chain.from_iterable(rows)), None
-        yield line, cells, rows
-        del cells, rows
+            cells = _TextCells(list(chain.from_iterable(rows)), width)
+        del rows
+        yield line, cells
+        del cells
         line += m
 
 
@@ -268,57 +407,56 @@ class _Columns:
 
     reals are parsed with float() and must be finite; each flag is 1
     where the cell equals its value and 0 elsewhere; labels are decoded
-    by _parse_label. A chunk converts column by column. A chunk with any
-    fault is checked again row by row and cell by cell, in the order
-    roles are listed, so the error names the first faulty line and
-    column exactly as a row-by-row reader would.
+    by _parse_label. A chunk converts column by column, and a flag or
+    label column compares or decodes each of its distinct cells once. A
+    chunk with any fault is checked again row by row and cell by cell, in
+    the order roles are listed, so the error names the first faulty line
+    and column exactly as a row-by-row reader would.
     """
 
     def __init__(self, header, path, reals, flags, labels, label_values):
-        self.width = len(header)
         self.reals = [(name, _column_index(header, name, path)) for name in reals]
         self.flags = [(name, _column_index(header, name, path), value) for name, value in flags]
         self.labels = [(name, _column_index(header, name, path)) for name in labels]
+        self.width = len(header)
         self.label_values = label_values
 
-    def convert(self, first_line: int, cells, rows):
+    def convert(self, first_line: int, cells):
         """(reals (m, r) float64, flags (m, f) int64, labels (l, m) int64)
         for the m rows of one chunk of _chunks, whose first row is
         `first_line`."""
-        if cells is not None:
+        if not isinstance(cells, list):
             try:
                 return self._by_column(cells)
             except _ChunkFault:
-                w = self.width
-                rows = [cells[i : i + w] for i in range(0, len(cells), w)]
-        self._raise_first_fault(rows, first_line)
+                cells = cells.rows()
+        self._raise_first_fault(cells, first_line)
         raise AssertionError("a faulty chunk passed the row-by-row checks")
 
     def _by_column(self, cells):
-        w = self.width
-        m = len(cells) // w
+        m = cells.m
         reals = np.empty((m, len(self.reals)))
         for j, (_, col) in enumerate(self.reals):
             try:
-                reals[:, j] = np.fromiter(map(float, cells[col::w]), np.float64, m)
+                reals[:, j] = np.fromiter(map(float, cells.strings(col)), np.float64, m)
             except ValueError:
                 raise _ChunkFault from None
         if not np.isfinite(reals).all():
             raise _ChunkFault
         flags = np.empty((m, len(self.flags)), dtype=np.int64)
         for j, (_, col, value) in enumerate(self.flags):
-            column = cells[col::w]
-            if "" in column:
+            values, index = cells.distinct(col)
+            if "" in values:
                 raise _ChunkFault
-            flags[:, j] = np.fromiter(map(value.__eq__, column), bool, m)
+            flags[:, j] = np.array([cell == value for cell in values])[index]
         labels = np.empty((len(self.labels), m), dtype=np.int64)
         for j, (name, col) in enumerate(self.labels):
-            column = cells[col::w]
+            values, index = cells.distinct(col)
             try:
-                codes = {c: _parse_label(c, 0, name, self.label_values) for c in set(column)}
+                codes = [_parse_label(cell, 0, name, self.label_values) for cell in values]
             except DataInputError:
                 raise _ChunkFault from None
-            labels[j] = np.fromiter(map(codes.__getitem__, column), np.int64, m)
+            labels[j] = np.array(codes, np.int64)[index]
         return reals, flags, labels
 
     def _raise_first_fault(self, rows, first_line: int) -> None:
@@ -355,24 +493,31 @@ def _read_table(
     """The one pass over a CSV file: the named columns as float64 reals
     (n, r), int64 flags (n, f) and int64 labels (l, n) (see _Columns).
 
-    The header is read by csv.reader and the records stream in chunks of
-    CHUNK_ROWS (see _chunks), so the strings held at any time are one
-    chunk's; line numbers count records from the header as line 1.
+    The file is read in blocks of about BLOCK_BYTES (see _blocks), a
+    leading UTF-8 byte-order mark dropped. csv.reader reads the header,
+    and the records stream a block at a time (see _chunks), so the bytes
+    and strings held at any time are one block's; line numbers count
+    records from the header as line 1.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = _next_rows(reader, 1, path)
+        with open(path, "rb") as handle:
+            blocks = _blocks(handle)
+            first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
+            text = _Text(chain([first], blocks))
+            del first
+            reader = csv.reader(text)
+            header = _next_rows(reader, 1)
             if not header:
                 raise SchemaMismatch(f"{path}: file is empty")
-            chunks = _chunks(handle, len(header[0]), reader.line_num, path)
+            chunks = _chunks(text, len(header[0]), reader.line_num)
+            del reader  # and with it the header's block
             chunk = next(chunks, None)
             if chunk is None:
                 raise SchemaMismatch(f"{path}: file has a header but no data rows")
             columns = _Columns(header[0], path, reals, flags, labels, label_values)
             parts = [columns.convert(*chunk)]
-            # drop this chunk's strings before reading the next, as starmap
-            # does for every later chunk
+            # drop this chunk before reading the next, as starmap does for
+            # every later chunk
             del chunk
             parts += starmap(columns.convert, chunks)
     except OSError as exc:

@@ -148,40 +148,62 @@ def compute_group_rates(
     return out[0], out[1]
 
 
-def _rate_gap(rate0: float | None, rate1: float | None, what: str) -> float:
-    if rate0 is None or rate1 is None:
-        raise UndefinedRate(f"{what} is undefined: empty conditioning event in a group")
-    return abs(rate1 - rate0)
+# each group measure's report name and the GroupRates field it compares
+_GAP_FIELDS = {
+    "demographic_parity": "positive_rate",
+    "equal_opportunity": "tpr",
+    "predictive_quality_parity": "precision",
+}
+
+
+def group_gaps(
+    dataset: LabeledDataset,
+    partition: GroupPartition,
+    positive_label: int,
+    measure: str = "demographic parity",
+) -> dict[str, float | None]:
+    """Demographic parity, equal opportunity and predictive quality parity
+    from one compute_group_rates, keyed by their report names: each the
+    absolute gap in its rate between the groups, or None where a group's
+    conditioning event is empty. An empty group raises EmptyGroup, naming
+    `measure`."""
+    if partition.has_empty_group:
+        raise EmptyGroup(f"{measure} needs two nonempty groups")
+    g0, g1 = compute_group_rates(dataset, partition, positive_label)
+    gaps = {}
+    for key, field in _GAP_FIELDS.items():
+        rate0, rate1 = getattr(g0, field), getattr(g1, field)
+        gaps[key] = None if rate0 is None or rate1 is None else abs(rate1 - rate0)
+    return gaps
+
+
+def _gap(dataset: LabeledDataset, partition: GroupPartition, positive_label: int, key: str):
+    measure = key.replace("_", " ")
+    gap = group_gaps(dataset, partition, positive_label, measure)[key]
+    if gap is None:
+        raise UndefinedRate(f"{measure} is undefined: empty conditioning event in a group")
+    return gap
 
 
 def demographic_parity(
     dataset: LabeledDataset, partition: GroupPartition, positive_label: int
 ) -> float:
     """Absolute gap in positive-prediction rate between the groups."""
-    if partition.has_empty_group:
-        raise EmptyGroup("demographic parity needs two nonempty groups")
-    g0, g1 = compute_group_rates(dataset, partition, positive_label)
-    return _rate_gap(g0.positive_rate, g1.positive_rate, "demographic parity")
+    return _gap(dataset, partition, positive_label, "demographic_parity")
 
 
 def equal_opportunity(
     dataset: LabeledDataset, partition: GroupPartition, positive_label: int
 ) -> float:
     """Absolute gap in true-positive rate between the groups."""
-    if partition.has_empty_group:
-        raise EmptyGroup("equal opportunity needs two nonempty groups")
-    g0, g1 = compute_group_rates(dataset, partition, positive_label)
-    return _rate_gap(g0.tpr, g1.tpr, "equal opportunity")
+    return _gap(dataset, partition, positive_label, "equal_opportunity")
 
 
 def predictive_quality_parity(
     dataset: LabeledDataset, partition: GroupPartition, positive_label: int
 ) -> float:
     """Absolute gap in precision between the groups."""
-    if partition.has_empty_group:
-        raise EmptyGroup("predictive quality parity needs two nonempty groups")
-    g0, g1 = compute_group_rates(dataset, partition, positive_label)
-    return _rate_gap(g0.precision, g1.precision, "predictive quality parity")
+    return _gap(dataset, partition, positive_label, "predictive_quality_parity")
 
 
 def discriminative_risk(

@@ -229,8 +229,8 @@ class TestLoadCsv:
             plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
             plain.write_bytes(text.encode())
             marked.write_bytes(codecs.BOM_UTF8 + text.encode())
-            for chunk in CHUNKS:
-                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+            for block in BLOCKS:
+                with mock.patch.object(io_module, "BLOCK_BYTES", block):
                     want = outcome(lambda: _streamed(str(plain), schema))
                     assert isinstance(want, list)
                     assert outcome(lambda: _streamed(str(marked), schema)) == want
@@ -381,9 +381,10 @@ def test_fixture_files_load():
 # derandomized: the examples are the same on every run
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-# 1 and 3 rows per chunk make small files span many chunks, with a
-# fault landing in any of them; the default takes each file in one
-CHUNKS = (1, 3, io_module.CHUNK_ROWS)
+# 1 and 64 bytes per read cut lines and multi-byte characters, so small
+# files span many blocks, with a fault landing in any of them; the
+# default takes each file in one
+BLOCKS = (1, 64, io_module.BLOCK_BYTES)
 
 REAL_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -392,9 +393,14 @@ REAL_CELLS = st.one_of(
          "\n2.5\n", "-1.7976931348623157e308"]
     ),
 )
-INT_LABEL_CELLS = st.sampled_from(["1", "2", " 1", "+2", "1_0", "02", "3 "])
-LABEL_VALUES = ("no", "yes", "a,b", "x\ny")
-SENSITIVE_CELLS = st.sampled_from(["Male", "Female", "male", " Male", "M,a", "Ma\nle"])
+# int() reads the Arabic-Indic two and the fullwidth one as 2 and 1
+INT_LABEL_CELLS = st.sampled_from(["1", "2", " 1", "+2", "1_0", "02", "3 ", "\u0662", "\uff11"])
+# "déjà vu" is over 8 bytes in UTF-8, so the reader takes its label column
+# as strings
+LABEL_VALUES = ("no", "yes", "a,b", "x\ny", "s\u00ed", "d\u00e9j\u00e0 vu")
+SENSITIVE_CELLS = st.sampled_from(
+    ["Male", "Female", "male", " Male", "M,a", "Ma\nle", "M\u00e4le", "\u7537"]
+)
 # csv.writer leaves a lone "\r" unquoted under a "\n" terminator, so a
 # carriage return only comes as part of "\r\n"
 NOTE_CELLS = st.lists(st.sampled_from([",", '"', "\n", "\r\n", " ", "a"]), max_size=4).map("".join)
@@ -485,14 +491,15 @@ def table_text(rows, terminator, lf_rows=0):
     return buffer.getvalue()
 
 
-def check_against_oracle(rows, schema, terminator, lf_rows=0, ragged=False):
+def check_against_oracle(rows, schema, terminator, lf_rows=0, ragged=False, blocks=BLOCKS):
     """check_text_against_oracle on the table_text of the rows."""
-    check_text_against_oracle(table_text(rows, terminator, lf_rows), schema, ragged)
+    check_text_against_oracle(table_text(rows, terminator, lf_rows), schema, ragged, blocks)
 
 
-def check_text_against_oracle(text, schema, ragged=False):
+def check_text_against_oracle(text, schema, ragged=False, blocks=BLOCKS):
     """The streaming reads against the frozen pair the CLI used to make:
-    load_csv without the flipped column, then read_int_column for it."""
+    load_csv without the flipped column, then read_int_column for it, at
+    each BLOCK_BYTES of `blocks`."""
     plain = dataclasses.replace(schema, prediction_flipped_column=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
@@ -500,8 +507,8 @@ def check_text_against_oracle(text, schema, ragged=False):
             handle.write(text)
         want = outcome(lambda: rowwise_load_csv(path, plain))
         want_flip = outcome(lambda: [rowwise_read_int_column(path, "flip", schema.label_values)])
-        for chunk in CHUNKS:
-            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+        for block in blocks:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
                 got_plain = outcome(lambda: _streamed(path, plain))
                 got = outcome(lambda: _streamed(path, schema))
                 got_flip = outcome(lambda: [read_int_column(path, "flip", schema.label_values)])
@@ -551,7 +558,7 @@ def _streamed(path, schema):
 
 
 class TestStreamingReaderMatchesRowwiseReader:
-    """Chunked, column-wise parsing must give the frozen row-by-row
+    """Block-wise, column-wise parsing must give the frozen row-by-row
     reader's arrays bit for bit, and its exception, line and column."""
 
     @PROPERTY
@@ -595,8 +602,8 @@ class TestStreamingReaderMatchesRowwiseReader:
             path = os.path.join(tmp, "table.csv")
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(table_text(rows, terminator, lf_rows))
-            for chunk in CHUNKS:
-                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+            for block in BLOCKS:
+                with mock.patch.object(io_module, "BLOCK_BYTES", block):
                     full = _streamed(path, schema)
                     got = _streamed(path, bare)
                 assert got[0].shape == (len(rows) - 1, 0)
@@ -604,6 +611,13 @@ class TestStreamingReaderMatchesRowwiseReader:
                 assert [_raw(a) for a in got[1:4] + got[5:]] == [
                     _raw(a) for a in full[1:4] + full[5:]
                 ]
+
+    @PROPERTY
+    @given(st.sampled_from([None, "all", "head"]).flatmap(lambda clean: csv_tables(clean=clean)))
+    def test_last_line_without_its_line_end(self, table):
+        rows, schema, terminator, lf_rows = table
+        end = "\n" if lf_rows >= len(rows) else terminator
+        check_text_against_oracle(table_text(rows, terminator, lf_rows)[: -len(end)], schema)
 
     def test_two_faults_in_one_row_every_column_pair(self):
         schema = DatasetSchema(
@@ -640,8 +654,8 @@ class TestStreamingReaderMatchesRowwiseReader:
         check_text_against_oracle(text, self.NOTE_SCHEMA, ragged=True)
         # with one column, a blank line has as many commas as a row
         path = write_csv(tmp_path, "y\n1\n\n2\n")
-        for chunk in CHUNKS:
-            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+        for block in BLOCKS:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
                 with pytest.raises(ParseError) as err:
                     read_int_column(path, "y")
             assert str(err.value) == "line 3, column '': expected 1 cells, found 0"
@@ -654,8 +668,8 @@ class TestStreamingReaderMatchesRowwiseReader:
             list(csv.reader(io.StringIO(text, newline="")))
         except csv.Error as exc:
             path = write_csv(tmp_path, text)
-            for chunk in CHUNKS:
-                with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+            for block in BLOCKS:
+                with mock.patch.object(io_module, "BLOCK_BYTES", block):
                     with pytest.raises(ParseError) as err:
                         load_csv(path, self.NOTE_SCHEMA)
                 assert str(err.value) == f"line 5, column '': {exc}"
@@ -669,12 +683,42 @@ class TestStreamingReaderMatchesRowwiseReader:
         text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n" * 2 + '1.5,"a\nb",2,1,2,Female\n'
         text += f"2.5,c,1,1,1,Male\n{big},d,1,1,1,Male\n"
         path = write_csv(tmp_path, text)
-        for chunk in CHUNKS:
-            with mock.patch.object(io_module, "CHUNK_ROWS", chunk):
+        for block in BLOCKS:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
                 with pytest.raises(ParseError) as err:
                     load_csv(path, self.NOTE_SCHEMA)
             assert err.value.line == 7
             assert "field larger than field limit" in str(err.value)
+
+    def test_file_ending_on_a_block_boundary(self):
+        # at a block size that divides the file, the last read ends on its
+        # last byte, with no rest carried to the end of the file
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n1.5,b,2,1,2,Female\n2.5,c,2,2,1,M\u00e4le\n"
+        size = len(text.encode())
+        divisors = tuple(d for d in range(1, size + 1) if size % d == 0)
+        assert len(divisors) > 2
+        check_text_against_oracle(text, self.NOTE_SCHEMA, blocks=divisors)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            # on the split path, after csv.reader took over, in the header,
+            # and in a character cut short by the end of the file
+            (b"\n" + b"0.5,a,1,2,1,Male\n" * 5 + b"3.5,\xe9,1,1,1,Male\n", 7),
+            (b"\n" + b'0.5,"a",1,2,1,Male\n' * 5 + b"3.5,\xe9,1,1,1,Male\n", 7),
+            (b"\xe9\n0.5,a,1,2,1,Male\n", 1),
+            (b"\n" + b"0.5,a,1,2,1,Male\n" * 5 + b"3.5,a,1,1,1,M\xc3", 7),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_at_every_block_size(self, tmp_path, body, line):
+        # the body goes on from the header's last name, "sex"
+        path = tmp_path / "data.csv"
+        path.write_bytes(self.NOTE_HEADER.encode()[:-1] + body)
+        for block in BLOCKS:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
+                with pytest.raises(ParseError) as err:
+                    load_csv(str(path), self.NOTE_SCHEMA)
+            assert str(err.value) == f"line {line}, column '': bytes are not valid UTF-8"
 
     @pytest.mark.parametrize("last", ["2.5,c,2,1,2,Male", "x,c,2,1,2,Male", "2.5,c,2"])
     def test_last_line_without_newline(self, last):
@@ -692,16 +736,19 @@ class TestStreamingReaderMatchesRowwiseReader:
 
     @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
     def test_turning_quoted_after_the_first_default_chunks(self, terminator):
-        # rows 1 .. CHUNK_ROWS + 6 are quote-free with "\n" ends; from there
-        # on a quoted note or "\r\n" ends send the reader to csv.reader,
-        # and a fault later on must keep its record number
-        n = 2 * io_module.CHUNK_ROWS + 10
+        # the rows of the first default block and six more are quote-free
+        # with "\n" ends; from there on a quoted note or "\r\n" ends send
+        # the reader to csv.reader, and a fault later on must keep its
+        # record number
+        n = 40_000  # about 1.3 MB, over two default blocks
         rows = [self.NOTE_HEADER.split()[0].split(",")]
         rows += [[repr(i / 7), "a", "1", "2", str(1 + i % 2), "Male" if i % 3 else "Female"]
                  for i in range(n)]
-        lf_rows = io_module.CHUNK_ROWS + 7
+        ends = np.cumsum([len(",".join(row)) + 1 for row in rows])
+        lf_rows = int(np.searchsorted(ends, io_module.BLOCK_BYTES)) + 7
         if terminator == "\n":
             rows[lf_rows][1] = "a,b"
-        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows)
+        blocks = (4096, io_module.BLOCK_BYTES)
+        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows, blocks=blocks)
         rows[n - 3][0] = "x"
-        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows)
+        check_against_oracle(rows, self.NOTE_SCHEMA, terminator, lf_rows, blocks=blocks)

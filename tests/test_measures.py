@@ -330,6 +330,38 @@ class TestGroupMeasures:
         with pytest.raises(EmptyGroup):
             demographic_parity(ds, part, 2)
 
+    def test_group_gaps_against_rates_counted_row_by_row(self, rng):
+        # the three gaps of one group_gaps call, as group-metrics reports
+        # them, each against its two rates counted in plain Python
+        def rate(hits, given):
+            events = sum(given)
+            return sum(h and g for h, g in zip(hits, given)) / events if events else None
+
+        undefined = 0
+        for _ in range(40):
+            ds = random_grouped_dataset(rng, n_lo=4, n_hi=12)
+            part = partition_by_attribute(ds, 0)
+            rates = []
+            for group in (part.group0, part.group1):
+                y = [int(ds.labels[i]) == 2 for i in group]
+                p = [int(ds.predictions[i]) == 2 for i in group]
+                rates.append((rate(p, [True] * len(p)), rate(p, y), rate(y, p)))
+            want = {}
+            for k, key in enumerate(
+                ["demographic_parity", "equal_opportunity", "predictive_quality_parity"]
+            ):
+                r0, r1 = rates[0][k], rates[1][k]
+                want[key] = None if r0 is None or r1 is None else abs(r1 - r0)
+            undefined += None in want.values()
+            assert measures.group_gaps(ds, part, 2) == want
+        assert undefined
+
+    def test_group_gaps_with_an_empty_group(self):
+        ds = make_dataset([[0.1], [0.2]], [1, 1], [1, 2], np.array([1, 2]))
+        part = partition_by_attribute(ds, 0)
+        with pytest.raises(EmptyGroup, match="^demographic parity needs two nonempty groups$"):
+            measures.group_gaps(ds, part, 2)
+
     def test_group_rates_fields(self):
         ds = self.fixture()
         part = partition_by_attribute(ds, 0)
