@@ -652,6 +652,10 @@ class TestStreamingReaderMatchesRowwiseReader:
         # csv.reader reads a blank line as a row of no cells
         text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n\n1.5,b,2,1,2,Female\n"
         check_text_against_oracle(text, self.NOTE_SCHEMA, ragged=True)
+        # a blank line and a line one comma short hold one row's separators
+        # between them, the last a newline
+        text = self.NOTE_HEADER + "0.5,a,1,2,1,Male\n\n1.5,b,2,1,2\n2.5,c,1,1,1,Male\n"
+        check_text_against_oracle(text, self.NOTE_SCHEMA, ragged=True)
         # with one column, a blank line has as many commas as a row
         path = write_csv(tmp_path, "y\n1\n\n2\n")
         for block in BLOCKS:
