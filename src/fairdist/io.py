@@ -415,10 +415,10 @@ class _Columns:
     """
 
     def __init__(self, header, path, reals, flags, labels, label_values):
+        self.width = len(header)
         self.reals = [(name, _column_index(header, name, path)) for name in reals]
         self.flags = [(name, _column_index(header, name, path), value) for name, value in flags]
         self.labels = [(name, _column_index(header, name, path)) for name in labels]
-        self.width = len(header)
         self.label_values = label_values
 
     def convert(self, first_line: int, cells):
