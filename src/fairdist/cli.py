@@ -18,7 +18,7 @@ import numpy as np
 
 from .approx import DEFAULT_M1, DEFAULT_SEED, ApproxParams, derived_seed
 from .bench import SynthSpec, run_comparison, summarize, synth_dataset
-from .dataset import LabelSource, joint_partition, partition_by_attribute
+from .dataset import LabelSource, joint_partition
 from .errors import (
     ComputationError,
     DataInputError,
@@ -91,12 +91,14 @@ def _load(args, needs_predictions: bool):
     dataset, _ = load_csv(args.input, schema)
     names = [name for name, _ in schema.sensitive_columns]
     if args.joint:
-        return dataset, joint_partition(dataset, list(range(len(names))))
-    if args.attr is None:
-        return dataset, partition_by_attribute(dataset, 0)
-    if args.attr not in names:
+        attrs = list(range(len(names)))
+    elif args.attr is None:
+        attrs = [0]
+    elif args.attr in names:
+        attrs = [names.index(args.attr)]
+    else:
         raise SchemaMismatch(f"--attr {args.attr!r} is not a declared sensitive column")
-    return dataset, partition_by_attribute(dataset, names.index(args.attr))
+    return dataset, joint_partition(dataset, attrs)
 
 
 def _reportable(args, report):

@@ -331,9 +331,11 @@ class _ByteCells(_TextCells):
         return self.data[:-1].decode("utf-8").replace("\n", ",").split(",")
 
     def distinct(self, col: int) -> tuple[list[str], np.ndarray]:
-        """_distinct of the column. Cells of up to 8 bytes are zero-padded
-        to one uint64 key each (no cell holds a NUL), so only the distinct
-        keys are decoded; longer cells go through the strings."""
+        """The column's distinct cells and each cell's position among
+        them. Cells of up to 8 bytes are zero-padded to one uint64 key
+        each (no cell holds a NUL), so only the distinct keys are decoded,
+        and they come in key order, not first-seen order; a column with a
+        longer cell goes through the strings and _distinct."""
         ends = self.seps[:, col]
         if col:
             starts = self.seps[:, col - 1] + 1
@@ -624,9 +626,7 @@ def render_report(report, fmt: str = "json") -> str:
         for record in records:
             if list(record.keys()) != keys:
                 raise InvalidArgument("CSV rows must share one field set")
-        import io as _io
-
-        buffer = _io.StringIO()
+        buffer = StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(keys)
         for record in records:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,63 +118,33 @@ def hfm_distances(
     return d, d_f
 
 
-@dataclass(frozen=True)
-class GroupRates:
-    """Per-group conditional rates; None marks an empty conditioning event."""
-
-    count: int
-    positive_rate: float | None
-    tpr: float | None
-    precision: float | None
-
-
-def compute_group_rates(
-    dataset: LabeledDataset, partition: GroupPartition, positive_label: int
-) -> tuple[GroupRates, GroupRates]:
-    """Rates for group0 and group1 in that order."""
-    if dataset.predictions is None:
-        raise MissingPredictions("group rates need a prediction column")
-    out = []
-    for indices in (partition.group0, partition.group1):
-        labels = dataset.labels[indices]
-        preds = dataset.predictions[indices]
-        count = len(indices)
-        pred_pos = preds == positive_label
-        label_pos = labels == positive_label
-        positive_rate = float(pred_pos.mean()) if count else None
-        tpr = float(pred_pos[label_pos].mean()) if label_pos.any() else None
-        precision = float(label_pos[pred_pos].mean()) if pred_pos.any() else None
-        out.append(GroupRates(count, positive_rate, tpr, precision))
-    return out[0], out[1]
-
-
-# each group measure's report name and the GroupRates field it compares
-_GAP_FIELDS = {
-    "demographic_parity": "positive_rate",
-    "equal_opportunity": "tpr",
-    "predictive_quality_parity": "precision",
-}
-
-
 def group_gaps(
     dataset: LabeledDataset,
     partition: GroupPartition,
     positive_label: int,
     measure: str = "demographic parity",
 ) -> dict[str, float | None]:
-    """Demographic parity, equal opportunity and predictive quality parity
-    from one compute_group_rates, keyed by their report names: each the
-    absolute gap in its rate between the groups, or None where a group's
-    conditioning event is empty. An empty group raises EmptyGroup, naming
-    `measure`."""
+    """Demographic parity, equal opportunity and predictive quality parity,
+    keyed by their report names: each the absolute gap between the groups
+    in positive-prediction rate, true-positive rate and precision, or None
+    where a group's conditioning event is empty. An empty group raises
+    EmptyGroup, naming `measure`."""
     if partition.has_empty_group:
         raise EmptyGroup(f"{measure} needs two nonempty groups")
-    g0, g1 = compute_group_rates(dataset, partition, positive_label)
-    gaps = {}
-    for key, field in _GAP_FIELDS.items():
-        rate0, rate1 = getattr(g0, field), getattr(g1, field)
-        gaps[key] = None if rate0 is None or rate1 is None else abs(rate1 - rate0)
-    return gaps
+    if dataset.predictions is None:
+        raise MissingPredictions("group rates need a prediction column")
+    rates = []
+    for indices in (partition.group0, partition.group1):
+        pred_pos = dataset.predictions[indices] == positive_label
+        label_pos = dataset.labels[indices] == positive_label
+        tpr = float(pred_pos[label_pos].mean()) if label_pos.any() else None
+        precision = float(label_pos[pred_pos].mean()) if pred_pos.any() else None
+        rates.append((float(pred_pos.mean()), tpr, precision))
+    keys = ("demographic_parity", "equal_opportunity", "predictive_quality_parity")
+    return {
+        key: None if rate0 is None or rate1 is None else abs(rate1 - rate0)
+        for key, rate0, rate1 in zip(keys, *rates)
+    }
 
 
 def _gap(dataset: LabeledDataset, partition: GroupPartition, positive_label: int, key: str):

@@ -27,7 +27,7 @@ from fairdist.errors import (
 )
 from fairdist import measures
 from fairdist.approx import derived_seed
-from fairdist.measures import compute_group_rates, set_distance
+from fairdist.measures import set_distance
 
 from conftest import PRED, TRUE, make_dataset, random_grouped_dataset
 
@@ -363,12 +363,34 @@ class TestGroupMeasures:
             measures.group_gaps(ds, part, 2)
 
     def test_group_rates_fields(self):
+        # group1: positive rate 3/4, TPR 2/2, precision 2/3;
+        # group0: positive rate 2/4, TPR 1/2, precision 1/2
         ds = self.fixture()
         part = partition_by_attribute(ds, 0)
-        g0, g1 = compute_group_rates(ds, part, 2)
-        assert (g0.count, g1.count) == (4, 4)
-        assert g1.positive_rate == pytest.approx(0.75)
-        assert g0.positive_rate == pytest.approx(0.5)
+        gaps = measures.group_gaps(ds, part, 2)
+        assert list(gaps) == [
+            "demographic_parity",
+            "equal_opportunity",
+            "predictive_quality_parity",
+        ]
+        assert list(gaps.values()) == pytest.approx([0.25, 0.5, 1.0 / 6.0], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "measure, name",
+        [
+            (measures.group_gaps, "demographic parity"),
+            (demographic_parity, "demographic parity"),
+            (equal_opportunity, "equal opportunity"),
+            (predictive_quality_parity, "predictive quality parity"),
+        ],
+    )
+    def test_empty_group_before_missing_predictions(self, measure, name):
+        ds = make_dataset(np.linspace(0, 1, 4), [1, 1, 0, 0], [2, 1, 2, 1])
+        with pytest.raises(MissingPredictions, match="^group rates need a prediction column$"):
+            measure(ds, partition_by_attribute(ds, 0), 2)
+        one_group = make_dataset(np.linspace(0, 1, 4), [1, 1, 1, 1], [2, 1, 2, 1])
+        with pytest.raises(EmptyGroup, match=f"^{name} needs two nonempty groups$"):
+            measure(one_group, partition_by_attribute(one_group, 0), 2)
 
 
 class TestDiscriminativeRisk:
