@@ -81,28 +81,29 @@ def synth_dataset(spec: SynthSpec) -> LabeledDataset:
     return LabeledDataset(features, membership[:, None], labels, predictions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ComparisonRow:
     """One sweep cell: a dataset, one parameter set, one label source.
 
     The field order is the column order of the sweep report, whose
-    records are `dataclasses.asdict` of the rows.
+    records are `dataclasses.asdict` of the rows. A failed row keeps the
+    defaults: -1 group sizes and no values or timings.
     """
 
     dataset_id: str
     n: int
     n_x: int
-    n0: int
-    n1: int
+    n0: int = -1
+    n1: int = -1
     label_source: str
     m1: int
     m2: int
     seed: int
-    exact_value: float | None
-    approx_value: float | None
-    relative_difference: float | None
-    exact_ns: int | None
-    approx_ns: int | None
+    exact_value: float | None = None
+    approx_value: float | None = None
+    relative_difference: float | None = None
+    exact_ns: int | None = None
+    approx_ns: int | None = None
     status: str
     error: str = ""
 
@@ -160,19 +161,8 @@ def _one_row(
             **base,
         )
     except ComputationError as exc:
-        return ComparisonRow(
-            n0=-1,
-            n1=-1,
-            m2=params.m2 if params.m2 is not None else -1,
-            exact_value=None,
-            approx_value=None,
-            relative_difference=None,
-            exact_ns=None,
-            approx_ns=None,
-            status="failed",
-            error=str(exc),
-            **base,
-        )
+        m2 = -1 if params.m2 is None else params.m2
+        return ComparisonRow(m2=m2, status="failed", error=str(exc), **base)
 
 
 def pearson(xs: np.ndarray, ys: np.ndarray) -> float:

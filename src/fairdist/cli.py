@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .errors import (
 from .io import DatasetSchema, load_csv, render_report, write_report
 from .measures import discriminative_risk, group_gaps, hfm, hfm_distances, set_distance
 from .theory import (
+    ProjectionBound,
+    SuccessBound,
     approximation_success_bound,
     monte_carlo_projection_probability,
     projection_dominance_bounds,
@@ -236,74 +238,44 @@ def cmd_verify_theory(args) -> int:
         for alpha in args.grid_alpha
     ]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-    # both record kinds share one header (the CSV report has a single
-    # one); a field a kind does not have stays None
-    fields = (
-        "kind",
-        "dim",
-        "r1",
-        "r2",
-        "phi",
-        "lower",
-        "exact",
-        "upper",
-        "mc_estimate",
-        "mc_stderr",
-        "sandwich_ok",
-        "mc_ok",
-        "n",
-        "k",
-        "mu",
-        "alpha",
-        "m1",
-        "m2",
-        "prob_main",
-        "prob_appendix",
-        "failure_exponent",
-    )
-    rows = []
-    failures = 0
-
-    def add_row(kind, bound, **extra):
-        # fields named like an attribute of the bound take its value
-        row = dict.fromkeys(fields)
-        row.update((key, getattr(bound, key)) for key in fields if hasattr(bound, key))
-        row.update(kind=kind, **extra)
-        rows.append(row)
-
-    def check_pair(v1, v2, tag):
-        nonlocal failures
+    # equal-length right-angle pair must sit exactly at probability 1/2
+    pairs = [("pair-equal", np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+    for i in range(args.pairs):
+        dim = 2 + int(rng.integers(0, args.max_dim - 1))
+        pairs.append((f"pair-{i}", *_theory_pair(rng, dim)))
+    checks = []
+    for tag, v1, v2 in pairs:
         bound = projection_dominance_bounds(v1, v2)
         estimate, stderr = monte_carlo_projection_probability(
             v1, v2, args.trials, derived_seed(args.seed, tag)
         )
-        sandwich_ok = bound.lower <= bound.exact <= bound.upper
-        mc_ok = abs(estimate - bound.exact) <= 4.0 * max(stderr, 1e-12)
-        if not (sandwich_ok and mc_ok):
-            failures += 1
-        add_row(
-            "projection_check",
-            bound,
-            dim=len(v1),
-            mc_estimate=estimate,
-            mc_stderr=stderr,
-            sandwich_ok=sandwich_ok,
-            mc_ok=mc_ok,
+        checks.append(
+            {
+                "kind": "projection_check",
+                "dim": len(v1),
+                **asdict(bound),
+                "mc_estimate": estimate,
+                "mc_stderr": stderr,
+                "sandwich_ok": bound.lower <= bound.exact <= bound.upper,
+                "mc_ok": abs(estimate - bound.exact) <= 4.0 * max(stderr, 1e-12),
+            }
         )
-
-    # equal-length right-angle pair must sit exactly at probability 1/2
-    check_pair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "pair-equal")
-    for i in range(args.pairs):
-        dim = 2 + int(rng.integers(0, args.max_dim - 1))
-        v1, v2 = _theory_pair(rng, dim)
-        check_pair(v1, v2, f"pair-{i}")
-
-    for bound in bounds:
-        add_row("success_bound", bound)
-
-    _emit(args, rows)
-    checks = sum(1 for row in rows if row["kind"] == "projection_check")
-    sys.stdout.write(f"projection checks: {checks - failures}/{checks} ok\n")
+    # both record kinds share one header (the CSV report has a single
+    # one); a field a kind does not have stays None
+    header = (
+        "kind",
+        "dim",
+        *(field.name for field in fields(ProjectionBound)),
+        "mc_estimate",
+        "mc_stderr",
+        "sandwich_ok",
+        "mc_ok",
+        *(field.name for field in fields(SuccessBound)),
+    )
+    rows = checks + [{"kind": "success_bound", **asdict(bound)} for bound in bounds]
+    _emit(args, [dict.fromkeys(header) | row for row in rows])
+    failures = sum(not (row["sandwich_ok"] and row["mc_ok"]) for row in checks)
+    sys.stdout.write(f"projection checks: {len(checks) - failures}/{len(checks)} ok\n")
     if failures:
         sys.stderr.write(f"{failures} projection check(s) failed\n")
         return 3

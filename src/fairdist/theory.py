@@ -26,16 +26,19 @@ from .errors import InvalidArgument
 _MC_CHUNK = 65536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProjectionBound:
-    """Closed-form sandwich for the projection dominance probability."""
+    """Closed-form sandwich for the projection dominance probability.
 
-    lower: float
-    upper: float
-    exact: float
-    phi: float
+    The field order is the column order of the verify-theory report.
+    """
+
     r1: float
     r2: float
+    phi: float
+    lower: float
+    exact: float
+    upper: float
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,8 @@ class SuccessBound:
     a factor alpha of the exact distance, in the main form and the
     integral (appendix) form, plus the failure exponent lambda.
 
-    prob_* are clamped to [0, 1] for reporting; the raw values are kept
-    because a vacuous (negative) bound is itself informative.
+    prob_* are clamped to [0, 1], so a vacuous (negative) bound reports 0.
+    The field order is the column order of the verify-theory report.
     """
 
     n: int
@@ -56,8 +59,6 @@ class SuccessBound:
     m2: int
     prob_main: float
     prob_appendix: float
-    prob_main_raw: float
-    prob_appendix_raw: float
     failure_exponent: float
 
 
@@ -105,7 +106,7 @@ def projection_dominance_bounds(v1: np.ndarray, v2: np.ndarray) -> ProjectionBou
     ratio = math.sqrt(r1sq / r2sq)
     lower = math.sin(phi) / math.pi * ratio
     upper = (1.0 + ratio * ratio) ** -0.5 * ratio
-    return ProjectionBound(lower=lower, upper=upper, exact=exact, phi=phi, r1=r1, r2=r2)
+    return ProjectionBound(r1=r1, r2=r2, phi=phi, lower=lower, exact=exact, upper=upper)
 
 
 def monte_carlo_projection_probability(
@@ -143,25 +144,28 @@ def approximation_success_bound(
     k+1 coordinates and scaled density mu.
 
     The inner bracket is clamped at 0 before raising to the m1-th power,
-    so an alpha past the break-even point reports probability exactly 1.
+    so an alpha past the break-even point reports probability exactly 1;
+    the power's base is clamped at 1, where the bound is already vacuous,
+    so the power cannot overflow.
     """
-    if n < 1 or k < 1 or m1 < 1 or m2 < 1:
-        raise InvalidArgument("n, k, m1 and m2 must be positive integers")
+    exponent = failure_exponent(n, k, m1, m2)
     # written so that NaN fails them too
-    if not mu > 0.0:
-        raise InvalidArgument("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise InvalidArgument("mu must be a finite positive number")
     if not alpha >= 1.0:
         raise InvalidArgument("alpha must be >= 1")
     volume = _unit_ball_volume(k + 1)
     factor = math.pi * mu / (m2 * volume)
     growth = (1.0 + n / mu) ** (1.0 / (k + 1))
+    # pi * mu overflows for mu near the float maximum, and n / mu for a
+    # subnormal mu: past either, floats cannot evaluate the bound
+    if math.isinf(factor) or math.isinf(growth):
+        raise InvalidArgument(f"mu {mu} is out of range: the bound overflows a float")
     bracket_main = max(0.0, growth - alpha)
     bracket_appendix = max(
         0.0,
         math.sqrt((1.0 + n / mu) ** (2.0 / (k + 1)) + 1.0) - math.sqrt(alpha * alpha + 1.0),
     )
-    raw_main = 1.0 - (factor * bracket_main) ** m1
-    raw_appendix = 1.0 - (factor * bracket_appendix) ** m1
     return SuccessBound(
         n=n,
         k=k,
@@ -169,11 +173,9 @@ def approximation_success_bound(
         alpha=alpha,
         m1=m1,
         m2=m2,
-        prob_main=min(1.0, max(0.0, raw_main)),
-        prob_appendix=min(1.0, max(0.0, raw_appendix)),
-        prob_main_raw=raw_main,
-        prob_appendix_raw=raw_appendix,
-        failure_exponent=failure_exponent(n, k, m1, m2),
+        prob_main=1.0 - min(1.0, factor * bracket_main) ** m1,
+        prob_appendix=1.0 - min(1.0, factor * bracket_appendix) ** m1,
+        failure_exponent=exponent,
     )
 
 

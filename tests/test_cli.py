@@ -617,6 +617,19 @@ class TestVerifyTheory:
                 failure_exponent(b["n"], b["k"], b["m1"], b["m2"]), abs=1e-12
             )
 
+    def test_empty_grid_keeps_the_whole_header(self, capsys):
+        # the header is the golden report's, success-bound columns included,
+        # though no success_bound row fills them
+        argv = ["verify-theory", "--pairs", "2", "--trials", "2000", "--grid-n", ""]
+        code, out, _ = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        with open(os.path.join(FIXTURES, "reports", "verify_theory.csv")) as golden:
+            assert lines[0] == golden.readline().rstrip("\r\n")
+        assert len(lines[0].split(",")) == 21
+        assert [line.split(",")[0] for line in lines[1:4]] == ["projection_check"] * 3
+        assert lines[4:] == ["projection checks: 3/3 ok"]
+
     @pytest.mark.parametrize(
         "flag, cells",
         [("--grid-n", "1000,abc"), ("--grid-n", "1e3"), ("--grid-k", "3,x"), ("--grid-alpha", "x")],
@@ -631,7 +644,12 @@ class TestVerifyTheory:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--grid-alpha", "2,nan", "alpha must be >= 1"), ("--pairs", "-1", "--pairs")],
+        [
+            ("--grid-alpha", "2,nan", "alpha must be >= 1"),
+            ("--pairs", "-1", "--pairs"),
+            ("--mu", "inf", "mu"),
+            ("--mu", "1e308", "mu"),
+        ],
     )
     def test_out_of_range_exits_three_before_any_check(
         self, capsys, monkeypatch, flag, value, message

@@ -132,9 +132,15 @@ class TestSuccessBound:
         assert all(a <= b + 1e-15 for a, b in zip(probs_m1, probs_m1[1:]))
 
     def test_raw_values_retained(self):
+        # m1 = m2 = 1 makes both forms vacuous: each clamps to exactly 0
         bound = approximation_success_bound(10_000, 3, 1.0, 1.0, 1, 1)
-        assert bound.prob_main_raw < 0.0
-        assert bound.prob_main == 0.0
+        assert (bound.prob_main, bound.prob_appendix) == (0.0, 0.0)
+
+    def test_vacuous_power_does_not_overflow(self):
+        # (factor * bracket) ** m1 is about 1.6e4 ** 100 here, past the
+        # float maximum; the bound is vacuous, so 0
+        bound = approximation_success_bound(10**9, 1, 1e12, 1.0, 100, 31_623)
+        assert (bound.prob_main, bound.prob_appendix) == (0.0, 0.0)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidArgument):
@@ -147,6 +153,13 @@ class TestSuccessBound:
             approximation_success_bound(10, 3, 1.0, float("nan"), 25, 9)
         with pytest.raises(InvalidArgument):
             approximation_success_bound(10, 3, float("nan"), 1.0, 25, 9)
+
+    @pytest.mark.parametrize("mu", [math.inf, 1e308, 1e-310])
+    def test_mu_that_overflows_the_bound_rejected(self, mu):
+        # a float overflows in the bound: pi * mu at inf and 1e308, n / mu
+        # at 1e-310; clamped, inf * 0 = NaN would read as probability 0
+        with pytest.raises(InvalidArgument, match="mu"):
+            approximation_success_bound(1000, 3, mu, 1.0, 25, 9)
 
 
 class TestFailureExponent:
