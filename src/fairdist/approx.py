@@ -16,27 +16,33 @@ and on points of three or more coordinates the two can differ in the
 last bit, so a trial may come out one ulp below the exact value.
 
 The worst case is O(m1 * n * (log n + m2)) overall, against O(n0 * n1)
-for the exact computation. Measured at n=50k, 10 features and m2=10, a
-full window scan took about 85% of a trial; projecting, sorting and
-gathering the rows took the rest, a few milliseconds each. Two exact
+for the exact computation. An anchor's window is its nearest m2
+opposite-group rows on each side, fewer where the sorted order ends
+first. Each group's sorted rows sit between min(m2, group size) rows of
+inf above and below, so every window is the same number of contiguous
+rows and an offset past either end reads inf, which never sets a
+minimum: rows are finite, so the difference is never NaN, and every
+anchor has a real opponent next to it on one side at least. Two exact
 bounds cut the scan without changing any result:
 
 - Prefix bound. Every anchor first takes its nearest opposite point on
   each side. Their minimum bounds the anchor's windowed minimum from
   above, so an anchor whose bound is at most the largest finished
   minimum cannot set the trial's maximum and is never finished. The
-  others are finished best first, largest bound first, over the rest of
-  the window in chunks.
+  others are finished best first, largest bound first, over their whole
+  window in chunks.
 - Early abandon. The reported value is the minimum over trials, so a
   trial whose largest finished minimum reaches the best earlier trial
   cannot lower it and stops there (as in the UCR suite's early
   abandoning, Rakthanmanon et al., KDD 2012).
 
-With both, an approx call at that size takes about 30% of its time
-with the full scan. The time left is spread over projecting (~20%),
-sorting (~10%), gathering (~10%), the prefix (~20%) and finishing
-anchors (~40%). A stable sort alone would take ~30%: the default sort,
-checked for ties (`_sort_order`), gives the same order faster.
+Measured at n=50k, 10 features and m2=10 (uniform rows, both label
+sources, default m1), a call takes about a fifth of the time of a full
+window scan of every trial. Its trials spend about 18% projecting, 8%
+sorting, 14% gathering each group's sorted rows, 24% on the prefix and
+36% finishing anchors. A stable sort alone would take about a quarter:
+the default sort, checked for ties (`_sort_order`), gives the same order
+faster.
 
 The values are bit-identical to a full scan: each squared pair distance
 is computed by the same expression (row difference, then a row-wise
@@ -162,50 +168,14 @@ def _project_all(
     return w.weights[0] * values + np.multiply(features, w.weights[1:], out=work).sum(axis=1)
 
 
-def _gather_diff(
-    anchors: np.ndarray, opponents: np.ndarray, idx: np.ndarray, work: np.ndarray
+def _window_minima_sq(
+    anchors: np.ndarray, padded: np.ndarray, first: np.ndarray, span: int
 ) -> np.ndarray:
-    """anchors - opponents[idx], row by row, written into the head of `work`."""
-    diff = np.take(opponents, idx, axis=0, out=work[: len(idx)], mode="clip")
-    return np.subtract(anchors, diff, out=diff)
-
-
-def _prefix_minima_sq(
-    za: np.ndarray, zo: np.ndarray, n_left: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Per-anchor minimum squared distance to its nearest opposite-group
-    point on each side.
-
-    Anchors are in ascending sorted position, so the anchors that have a
-    left (right) neighbor form a suffix (prefix) slice and no masking is
-    needed.
-    """
-    best = np.full(len(za), np.inf)
-    start = int(np.searchsorted(n_left, 1))  # first anchor with a left neighbor
-    if start < len(za):
-        diff = _gather_diff(za[start:], zo, n_left[start:] - 1, work)
-        best[start:] = np.einsum("ij,ij->i", diff, diff)
-    # one past the last anchor with a right neighbor
-    stop = int(np.searchsorted(n_left, len(zo) - 1, side="right"))
-    if stop > 0:
-        diff = _gather_diff(za[:stop], zo, n_left[:stop], work)
-        np.minimum(best[:stop], np.einsum("ij,ij->i", diff, diff), out=best[:stop])
-    return best
-
-
-def _offset_minima_sq(
-    za: np.ndarray, zo: np.ndarray, n_left: np.ndarray, idx: np.ndarray, first: int, last: int
-) -> np.ndarray:
-    """Minimum squared distance of the anchors `idx` over the window
-    offsets first..last on both sides; inf for an anchor with none."""
-    ks = np.arange(first, last + 1)
-    left = n_left[idx][:, None]
-    neighbor = np.concatenate((left - ks, left + (ks - 1)), axis=1)
-    diff = za[idx][:, None, :] - zo[np.clip(neighbor, 0, len(zo) - 1)]
+    """Each anchor's minimum squared distance over the `span` contiguous
+    rows of `padded` that start at its entry of `first`."""
+    diff = anchors[:, None, :] - padded[first[:, None] + np.arange(span)]
     flat = diff.reshape(-1, diff.shape[2])
-    sq = np.einsum("ij,ij->i", flat, flat).reshape(neighbor.shape)
-    sq[(neighbor < 0) | (neighbor >= len(zo))] = np.inf
-    return sq.min(axis=1)
+    return np.einsum("ij,ij->i", flat, flat).reshape(len(anchors), span).min(axis=1)
 
 
 def _sort_order(projected: np.ndarray) -> np.ndarray:
@@ -230,12 +200,24 @@ def _sort_order(projected: np.ndarray) -> np.ndarray:
 
 
 class _WindowScan:
-    """What every trial on one (dataset, partition, source) shares: the
-    label values, the augmented rows, the group-1 membership, and work
-    buffers reused by every trial (fresh multi-megabyte temporaries per
-    trial cost page faults once the allocator returns them to the OS)."""
+    """What every trial on one (dataset, partition, source) and window m2
+    shares: the label values, the augmented rows, the group-1 membership,
+    and buffers reused by every trial (fresh multi-megabyte temporaries
+    per trial cost page faults once the allocator returns them to the OS).
 
-    def __init__(self, dataset: LabeledDataset, partition: GroupPartition, source: LabelSource):
+    `padded[g]` holds group g's rows in the trial's sorted order between
+    `reach[g]` = min(m2, size of g) rows of inf above and below; only the
+    middle is rewritten per trial, so the padding stays inf. An anchor
+    with `n_left` opponents before it in sorted order has its window, the
+    nearest `reach` opponents on each side, at the padded rows
+    n_left .. n_left + 2 * reach - 1 of the opposite group; the offsets
+    that fall off either end of that group read padding. `products` takes
+    the projection's elementwise products and `work` the prefix gathers.
+    """
+
+    def __init__(
+        self, dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, m2: int
+    ):
         self.features = dataset.features
         self.values = dataset.values_for(source).astype(np.float64)
         self.rows = augmented_points(self.features, self.values)
@@ -243,38 +225,52 @@ class _WindowScan:
         self.in_group1[partition.group1] = True
         width = self.rows.shape[1]
         self.products = np.empty_like(self.features)
-        self.z0 = np.empty((len(partition.group0), width))
-        self.z1 = np.empty((len(partition.group1), width))
+        self.reach = [min(m2, size) for size in partition.sizes]
+        self.padded = [
+            np.full((size + 2 * reach, width), np.inf)
+            for size, reach in zip(partition.sizes, self.reach)
+        ]
         self.work = np.empty((max(partition.sizes), width))
 
-    def trial_max_sq(self, w: ProjectionVector, m2: int, cutoff: float = math.inf) -> float:
+    def trial_max_sq(self, w: ProjectionVector, cutoff: float = math.inf) -> float:
         """The largest windowed nearest-opposite squared distance of the
-        trial along `w`, or, once it is known to be >= cutoff, some value
-        >= cutoff that is at most the trial's."""
+        trial along `w`. Once the largest finished anchor reaches
+        `cutoff`, the trial stops and returns that anchor's value instead:
+        it is >= cutoff and at most the trial's, so a caller that keeps
+        the minimum over trials gets the same result either way."""
         projected = _project_all(self.features, self.values, w, self.products)
         order = _sort_order(projected)
         sorted_in_group1 = self.in_group1[order]
-        pos0 = np.flatnonzero(~sorted_in_group1)
-        pos1 = np.flatnonzero(sorted_in_group1)
-        z0 = np.take(self.rows, order[pos0], axis=0, out=self.z0, mode="clip")
-        z1 = np.take(self.rows, order[pos1], axis=0, out=self.z1, mode="clip")
-        # per direction: anchors, opponents, and the count of opponents
-        # strictly left of each anchor (non-decreasing); the i-th anchor
-        # of a group has i own-group rows and pos - i opponents before it
-        sides = (
-            (z0, z1, pos0 - np.arange(len(pos0))),
-            (z1, z0, pos1 - np.arange(len(pos1))),
-        )
-        bounds = [_prefix_minima_sq(za, zo, n_left, self.work) for za, zo, n_left in sides]
+        positions = (np.flatnonzero(~sorted_in_group1), np.flatnonzero(sorted_in_group1))
+        anchors = [
+            # in range, so mode="clip" only skips the copy that
+            # mode="raise" makes of `out`
+            np.take(self.rows, order[pos], axis=0, out=padded[reach:-reach], mode="clip")
+            for pos, padded, reach in zip(positions, self.padded, self.reach)
+        ]
+        # per direction: anchors, the opponents' padded rows and reach,
+        # and the count of opponents strictly left of each anchor
+        # (non-decreasing); the i-th anchor of a group has i own-group
+        # rows and pos - i opponents before it
+        sides = [
+            (za, self.padded[1 - g], self.reach[1 - g], pos - np.arange(len(pos)))
+            for g, (za, pos) in enumerate(zip(anchors, positions))
+        ]
+        # prefix bound: the nearest opponent on each side, an upper bound
+        # on the anchor's windowed minimum; padding gives inf
+        bounds = []
+        for za, padded, reach, n_left in sides:
+            nearest = []
+            for row in (n_left + reach - 1, n_left + reach):
+                diff = np.take(padded, row, axis=0, out=self.work[: len(za)], mode="clip")
+                np.subtract(za, diff, out=diff)
+                nearest.append(np.einsum("ij,ij->i", diff, diff))
+            bounds.append(np.minimum(*nearest))
         ub = np.concatenate(bounds)
-        widest = min(m2, max(len(z0), len(z1)))
-        if widest == 1:
-            return float(ub.max())
-        # An anchor's windowed minimum is at most its prefix bound, so an
-        # anchor whose bound is <= the largest finished minimum cannot set
-        # the trial's maximum; finish the others, largest bound first.
-        chunk = max(1, CHUNK_PAIRS // (2 * (widest - 1)))
-        n0 = len(z0)
+        # An anchor whose bound is <= the largest finished minimum cannot
+        # set the trial's maximum; finish the others, largest bound first.
+        chunk = max(1, CHUNK_PAIRS // (2 * max(self.reach)))
+        n0 = len(anchors[0])
         largest = 0.0
         pending = np.arange(len(ub))
         while len(pending) and largest < cutoff:
@@ -284,16 +280,12 @@ class _WindowScan:
             else:
                 head, pending = pending, pending[:0]
             head.sort()  # ascending anchors: the gathers below walk memory forward
-            for (za, zo, n_left), bound, idx in zip(
-                sides, bounds, (head[head < n0], head[head >= n0] - n0)
+            for (za, padded, reach, n_left), idx in zip(
+                sides, (head[head < n0], head[head >= n0] - n0)
             ):
-                if len(idx) == 0:
-                    continue
-                bound, last = bound[idx], min(m2, len(zo))
-                if last > 1:
-                    rest = _offset_minima_sq(za, zo, n_left, idx, 2, last)
-                    bound = np.minimum(bound, rest)
-                largest = max(largest, float(bound.max()))
+                if len(idx):
+                    minima = _window_minima_sq(za[idx], padded, n_left[idx], 2 * reach)
+                    largest = max(largest, float(minima.max()))
             pending = pending[ub[pending] > largest]
         return largest
 
@@ -316,7 +308,7 @@ def projection_scan_distance(
         raise EmptyGroup("both groups must be nonempty to compute a distance")
     if m2 < 1:
         raise InvalidArgument("m2 must be a positive integer")
-    return math.sqrt(_WindowScan(dataset, partition, source).trial_max_sq(w, m2))
+    return math.sqrt(_WindowScan(dataset, partition, source, m2).trial_max_sq(w))
 
 
 def approx_set_distance(
@@ -332,14 +324,14 @@ def approx_set_distance(
     params = params or ApproxParams()
     m2 = params.m2 if params.m2 is not None else default_m2(dataset.n)
     start = time.perf_counter_ns()
-    scan = _WindowScan(dataset, partition, source)
+    scan = _WindowScan(dataset, partition, source, m2)
     # squared throughout: sqrt is monotone, so taking it once at the end
     # gives the same bits as taking it per anchor
     best_sq = math.inf
     for trial in range(params.m1):
         w = sample_l1_unit_vector(1 + dataset.n_features, _trial_rng(params.seed, trial))
         # a trial that reaches best_sq cannot lower it: stop it there
-        best_sq = min(best_sq, scan.trial_max_sq(w, m2, cutoff=best_sq))
+        best_sq = min(best_sq, scan.trial_max_sq(w, cutoff=best_sq))
     elapsed = time.perf_counter_ns() - start
     return DistanceResult(
         value=math.sqrt(best_sq),

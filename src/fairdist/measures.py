@@ -84,8 +84,14 @@ def hfm_distances(
     separated groups.
 
     The two distances share only read-only inputs, so d_f is computed on a
-    worker thread while the calling thread computes d; numpy releases the
-    GIL in the sorts, gathers and reductions that dominate both. Each
+    worker thread while the calling thread computes d. Whether that pays
+    depends on the route. Measured in process on 50k rows (2-core x86
+    VM), median of
+    alternating runs: approx, whose large sorts, gathers and reductions
+    release the GIL, took 0.50 s threaded against 0.83 s sequential (10
+    features, overlapping groups); the early-break scan, many small numpy
+    calls that mostly hold it, gained nothing, 0.098-0.102 s threaded
+    against 0.085-0.104 s sequential (3 features, separated groups). Each
     result is the same bits as a sequential call. If both calls raise,
     d's exception is the one raised.
     """

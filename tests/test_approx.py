@@ -203,6 +203,18 @@ class TestApproxSetDistance:
         with pytest.raises(EmptyGroup):
             approx_set_distance(ds, part, TRUE)
 
+    def test_window_past_the_groups_sizes_no_memory(self, rng):
+        # a window wider than the larger group is the full window; the
+        # scan's buffers are sized by the groups, so this must allocate
+        # nothing in proportion to m2
+        for i in range(20):
+            ds = random_grouped_dataset(rng, n_lo=2, n_hi=30)
+            part = partition_by_attribute(ds, 0)
+            source = TRUE if i % 2 else PRED
+            full = approx_set_distance(ds, part, source, ApproxParams(3, max(part.sizes), i))
+            huge = approx_set_distance(ds, part, source, ApproxParams(3, 10**12, i))
+            assert huge.value.hex() == full.value.hex()
+
 
 @st.composite
 def scan_cases(draw):
