@@ -54,20 +54,26 @@ Determinism: trial j draws its direction from a child seed derived from
 (seed, j), so results never depend on scheduling and the sequence of
 trial outcomes for a given master seed is a fixed stream (running more
 trials can only lower the reported minimum).
+
+`approx_set_distance` runs its trials inside `exact.distance_frame`, the
+one frame every `DistanceResult` comes from, exact or approx: it rejects
+an empty group, builds every row's [value, features...] once, times the
+whole call and records m1, m2 and seed with the value. The trials
+project those rows as they are, the label from column 0 and the
+features from columns 1.. (`_project_all`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import GroupPartition, LabeledDataset, LabelSource
-from .errors import DimensionError, EmptyGroup, InvalidArgument
-from .exact import DistanceResult, augmented_points
+from .errors import DimensionError, InvalidArgument
+from .exact import DistanceResult, augmented_points, distance_frame
 
 DEFAULT_M1 = 25
 DEFAULT_SEED = 42
@@ -157,15 +163,17 @@ def sample_l1_unit_vector(dim: int, rng: np.random.Generator) -> ProjectionVecto
             return ProjectionVector(raw / norm)
 
 
-def _project_all(
-    features: np.ndarray, values: np.ndarray, w: ProjectionVector, work: np.ndarray
-) -> np.ndarray:
-    """Project every row; `work` (shaped like `features`) takes the products."""
-    if features.shape[1] + 1 != w.dim:
+def _project_all(rows: np.ndarray, w: ProjectionVector, work: np.ndarray) -> np.ndarray:
+    """Project every row of [value, features...]; `work` (shaped like
+    `rows`) takes the products."""
+    if rows.shape[1] != w.dim:
         raise DimensionError("feature matrix width must be projection dim - 1")
     # elementwise multiply + reduce keeps the result independent of any
-    # threaded BLAS configuration
-    return w.weights[0] * values + np.multiply(features, w.weights[1:], out=work).sum(axis=1)
+    # threaded BLAS configuration. The features' products are summed first
+    # and the label's added last. One contiguous multiply over whole rows
+    # costs less than one that reads the features at the rows' stride
+    products = np.multiply(rows, w.weights, out=work)
+    return products[:, 0] + products[:, 1:].sum(axis=1)
 
 
 def _window_minima_sq(
@@ -200,10 +208,11 @@ def _sort_order(projected: np.ndarray) -> np.ndarray:
 
 
 class _WindowScan:
-    """What every trial on one (dataset, partition, source) and window m2
-    shares: the label values, the augmented rows, the group-1 membership,
-    and buffers reused by every trial (fresh multi-megabyte temporaries
-    per trial cost page faults once the allocator returns them to the OS).
+    """What every trial on one set of rows, partition and window m2
+    shares: the rows of [value, features...] that `distance_frame` built,
+    the group-1 membership, and buffers reused by every trial (fresh
+    multi-megabyte temporaries per trial cost page faults once the
+    allocator returns them to the OS).
 
     `padded[g]` holds group g's rows in the trial's sorted order between
     `reach[g]` = min(m2, size of g) rows of inf above and below; only the
@@ -215,16 +224,12 @@ class _WindowScan:
     the projection's elementwise products and `work` the prefix gathers.
     """
 
-    def __init__(
-        self, dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, m2: int
-    ):
-        self.features = dataset.features
-        self.values = dataset.values_for(source).astype(np.float64)
-        self.rows = augmented_points(self.features, self.values)
-        self.in_group1 = np.zeros(dataset.n, dtype=bool)
+    def __init__(self, rows: np.ndarray, partition: GroupPartition, m2: int):
+        self.rows = rows
+        self.in_group1 = np.zeros(len(rows), dtype=bool)
         self.in_group1[partition.group1] = True
-        width = self.rows.shape[1]
-        self.products = np.empty_like(self.features)
+        width = rows.shape[1]
+        self.products = np.empty_like(rows)
         self.reach = [min(m2, size) for size in partition.sizes]
         self.padded = [
             np.full((size + 2 * reach, width), np.inf)
@@ -238,7 +243,7 @@ class _WindowScan:
         `cutoff`, the trial stops and returns that anchor's value instead:
         it is >= cutoff and at most the trial's, so a caller that keeps
         the minimum over trials gets the same result either way."""
-        projected = _project_all(self.features, self.values, w, self.products)
+        projected = _project_all(self.rows, w, self.products)
         order = _sort_order(projected)
         sorted_in_group1 = self.in_group1[order]
         positions = (np.flatnonzero(~sorted_in_group1), np.flatnonzero(sorted_in_group1))
@@ -304,11 +309,10 @@ def projection_scan_distance(
     once m2 covers the larger group (the windows then contain every
     opposite point).
     """
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
+    rows = augmented_points(dataset, partition, source)
     if m2 < 1:
         raise InvalidArgument("m2 must be a positive integer")
-    return math.sqrt(_WindowScan(dataset, partition, source, m2).trial_max_sq(w))
+    return math.sqrt(_WindowScan(rows, partition, m2).trial_max_sq(w))
 
 
 def approx_set_distance(
@@ -318,27 +322,22 @@ def approx_set_distance(
     params: ApproxParams | None = None,
 ) -> DistanceResult:
     """Approximate the set distance as the minimum over m1 independent
-    sorted-scan trials, each with a freshly sampled direction."""
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
+    sorted-scan trials, each with a freshly sampled direction, in the
+    frame that builds every distance result (`distance_frame`)."""
     params = params or ApproxParams()
     m2 = params.m2 if params.m2 is not None else default_m2(dataset.n)
-    start = time.perf_counter_ns()
-    scan = _WindowScan(dataset, partition, source, m2)
-    # squared throughout: sqrt is monotone, so taking it once at the end
-    # gives the same bits as taking it per anchor
-    best_sq = math.inf
-    for trial in range(params.m1):
-        w = sample_l1_unit_vector(1 + dataset.n_features, _trial_rng(params.seed, trial))
-        # a trial that reaches best_sq cannot lower it: stop it there
-        best_sq = min(best_sq, scan.trial_max_sq(w, cutoff=best_sq))
-    elapsed = time.perf_counter_ns() - start
-    return DistanceResult(
-        value=math.sqrt(best_sq),
-        method="approx",
-        label_source=source,
-        elapsed_ns=elapsed,
-        m1=params.m1,
-        m2=m2,
-        seed=params.seed,
+
+    def trials(rows: np.ndarray) -> float:
+        scan = _WindowScan(rows, partition, m2)
+        # squared throughout: sqrt is monotone, so taking it once at the
+        # end gives the same bits as taking it per anchor
+        best_sq = math.inf
+        for trial in range(params.m1):
+            w = sample_l1_unit_vector(rows.shape[1], _trial_rng(params.seed, trial))
+            # a trial that reaches best_sq cannot lower it: stop it there
+            best_sq = min(best_sq, scan.trial_max_sq(w, cutoff=best_sq))
+        return math.sqrt(best_sq)
+
+    return distance_frame(
+        dataset, partition, source, trials, m1=params.m1, m2=m2, seed=params.seed
     )

@@ -352,7 +352,10 @@ def _add_approx_options(parser: argparse.ArgumentParser) -> None:
         "--m1", type=int, default=DEFAULT_M1, help=f"projection trials (default {DEFAULT_M1})"
     )
     group.add_argument(
-        "--m2", type=int, default=None, help="neighbors per direction (default: 2*log10(n))"
+        "--m2",
+        type=int,
+        default=None,
+        help="neighbors per direction (default: ceil(2*log10(n)), at least 1)",
     )
     group.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})"

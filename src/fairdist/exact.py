@@ -27,16 +27,20 @@ pair distance any of them returns comes from one numpy kernel,
   scipy.
 
 Each route is a function of the two groups' rows that returns the
-distance; one frame, `_exact`, checks the groups, gathers their rows,
-times the call and builds the result. A result's `elapsed_ns` is the
-whole call's wall time, scipy's first import included.
+distance. One frame, `distance_frame`, builds every `DistanceResult`,
+exact and approx alike: it starts the timer, builds every row's [value,
+features...] once with `augmented_points`, which rejects an empty group,
+hands the rows to a compute function and builds the result from its
+value. The exact routes get `rows[partition.group0]` and
+`rows[partition.group1]`. A result's `elapsed_ns` is the whole call's
+wall time, scipy's first import included.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,9 +50,10 @@ from .errors import EmptyGroup, InvalidArgument
 _KERNEL_PAIRS = 256 * 256  # pairs in one block of the pair kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DistanceResult:
-    """A computed set distance plus its provenance.
+    """A computed set distance plus its provenance, its fields in the
+    order of the `dist` report.
 
     `m1`, `m2` and `seed` are populated only for approximate results;
     exact results carry None there.
@@ -57,10 +62,10 @@ class DistanceResult:
     value: float
     method: str  # "exact" | "approx"
     label_source: LabelSource
-    elapsed_ns: int
+    seed: int | None = None
     m1: int | None = None
     m2: int | None = None
-    seed: int | None = None
+    elapsed_ns: int
 
     def __post_init__(self):
         if self.value < 0:
@@ -72,23 +77,36 @@ class DistanceResult:
             raise InvalidArgument("exact results carry no approximation parameters")
 
     def to_record(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "label_source": self.label_source.value,
-            "seed": self.seed,
-            "m1": self.m1,
-            "m2": self.m2,
-            "elapsed_ns": self.elapsed_ns,
-        }
+        return asdict(self) | {"label_source": self.label_source.value}
 
 
-def augmented_points(features: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows of [value, features...], the coordinates the metric acts on."""
-    out = np.empty((features.shape[0], features.shape[1] + 1), dtype=np.float64)
-    out[:, 0] = values
-    out[:, 1:] = features
+def augmented_points(
+    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource
+) -> np.ndarray:
+    """Every row's [value, features...], the coordinates the metric acts
+    on, for a partition whose groups are both nonempty."""
+    if partition.has_empty_group:
+        raise EmptyGroup("both groups must be nonempty to compute a distance")
+    out = np.empty((dataset.n, dataset.n_features + 1), dtype=np.float64)
+    out[:, 0] = dataset.values_for(source)
+    out[:, 1:] = dataset.features
     return out
+
+
+def distance_frame(
+    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, compute, **approx
+) -> DistanceResult:
+    """The one frame every `DistanceResult` comes from: the value that
+    `compute` takes from every row's [value, features...], timed over the
+    whole call. `approx` holds an approx result's m1, m2 and seed, and is
+    empty for an exact one."""
+    start = time.perf_counter_ns()
+    value = compute(augmented_points(dataset, partition, source))
+    elapsed = time.perf_counter_ns() - start
+    method = "approx" if approx else "exact"
+    return DistanceResult(
+        value=value, method=method, label_source=source, elapsed_ns=elapsed, **approx
+    )
 
 
 # Relative gap below the largest tree distance within which an anchor's
@@ -166,18 +184,12 @@ def _exact(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, route
 ) -> DistanceResult:
     """The exact result whose value `route` computes from the rows of
-    group 0 and group 1, timed over the whole call."""
-    if partition.has_empty_group:
-        raise EmptyGroup("both groups must be nonempty to compute a distance")
-    start = time.perf_counter_ns()
-    values = dataset.values_for(source).astype(np.float64)
-    z0, z1 = (
-        augmented_points(dataset.features[group], values[group])
-        for group in (partition.group0, partition.group1)
-    )
-    value = route(z0, z1)
-    elapsed = time.perf_counter_ns() - start
-    return DistanceResult(value=value, method="exact", label_source=source, elapsed_ns=elapsed)
+    group 0 and group 1."""
+
+    def groups(rows: np.ndarray) -> float:
+        return route(rows[partition.group0], rows[partition.group1])
+
+    return distance_frame(dataset, partition, source, groups)
 
 
 def _brute_force(z0: np.ndarray, z1: np.ndarray) -> float:

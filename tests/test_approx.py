@@ -75,6 +75,18 @@ class TestSampleL1UnitVector:
         with pytest.raises(InvalidArgument):
             ProjectionVector(np.array(weights))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([], "must form a nonempty vector"),
+            # within the L1 check's 1e-12, beyond the coordinate bound
+            ([1 + 5e-13], r"must lie in \[-1, 1\]"),
+        ],
+    )
+    def test_shape_and_range_rejected(self, weights, message):
+        with pytest.raises(InvalidArgument, match=message):
+            ProjectionVector(np.array(weights))
+
 
 class TestProject:
     def test_label_coordinate(self):
@@ -151,6 +163,17 @@ class TestProjectionScanDistance:
         counted = _counting_reference(ds, part, TRUE, w, m2)
         assert counted <= 2 * m2 * ds.n
 
+    def test_preconditions(self):
+        w = ProjectionVector(np.array([0.5, 0.5]))
+        ds = make_dataset([[0.1], [0.2]], [1, 1], [1, 2])
+        with pytest.raises(EmptyGroup):
+            projection_scan_distance(ds, partition_by_attribute(ds, 0), TRUE, w, 1)
+        ds, part = two_group_dataset([[0.1]], [1], [[0.7]], [2])
+        with pytest.raises(InvalidArgument, match="m2 must be a positive integer"):
+            projection_scan_distance(ds, part, TRUE, w, 0)
+        with pytest.raises(DimensionError):
+            projection_scan_distance(ds, part, TRUE, ProjectionVector(np.array([1.0])), 1)
+
 
 class TestApproxSetDistance:
     def test_m1_one_equals_single_scan(self):
@@ -202,6 +225,14 @@ class TestApproxSetDistance:
         part = partition_by_attribute(ds, 0)
         with pytest.raises(EmptyGroup):
             approx_set_distance(ds, part, TRUE)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"m2": 0}, "m2 must be a positive"), ({"seed": -1}, "seed must be a nonnegative")],
+    )
+    def test_params_rejected(self, params, message):
+        with pytest.raises(InvalidArgument, match=message):
+            ApproxParams(**params)
 
     def test_window_past_the_groups_sizes_no_memory(self, rng):
         # a window wider than the larger group is the full window; the

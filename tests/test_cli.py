@@ -151,6 +151,12 @@ class TestDist:
         assert code == 2
         assert "line 3" in err and "field larger than field limit" in err
 
+    def test_privileged_values_must_match_the_sensitive_columns(self, capsys):
+        argv = ["dist", "--input", DIST6, *SCHEMA6[:4], "--privileged", "Male,White"]
+        code, out, err = run(capsys, [*argv, "--label", "y"])
+        assert (code, out) == (2, "")
+        assert "--privileged must list one value per --sensitive column" in err
+
     def test_prediction_label_source(self, capsys):
         argv = ["dist", "--input", DIST6, *SCHEMA6, "--prediction", "yhat",
                 "--label-source", "predictions"]
@@ -228,6 +234,18 @@ class TestTimings:
     def test_timings_leave_untimed_reports_alone(self, capsys, argv, fmt):
         argv = [*argv, "--format", fmt]
         assert run(capsys, argv) == run(capsys, [*argv, "--timings"])
+
+    @pytest.mark.parametrize("method", [["exact"], ["approx", "--m1", "3"]])
+    def test_dist_record_keys_in_report_order(self, capsys, method):
+        # the golden reports leave elapsed_ns out, so only this pins its place
+        keys = "value,method,label_source,seed,m1,m2,elapsed_ns"
+        argv = ["dist", "--input", DIST6, *SCHEMA6, "--method", *method, "--timings"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert ",".join(json.loads(out)) == keys
+        code, out, _ = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[0] == keys
 
 
 class TestHfm:
@@ -585,6 +603,12 @@ class TestBench:
         assert err.startswith(f"input error: cannot write {out_path}: the report is not valid UTF-8")
         assert not os.path.exists(out_path)
 
+    def test_input_without_label_exits_two(self, capsys):
+        argv = ["bench", "--input", DIST6, *SCHEMA6[:6]]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "--label is required" in err
+
     def test_overestimation_across_sweep(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.json")
         argv = ["bench", "--count", "6", "--min-n", "40", "--max-n", "200",
@@ -675,6 +699,14 @@ class TestVerifyTheory:
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
         assert "target_lambda" in err and message in err
+
+    def test_failing_projection_check_exits_three(self, capsys, monkeypatch, tmp_path):
+        # an estimate far from the exact 1/2 of the pinned pair fails it
+        monkeypatch.setattr(cli, "monte_carlo_projection_probability", lambda *args: (0.0, 0.0))
+        argv = ["verify-theory", "--pairs", "0", "--out", str(tmp_path / "theory.json")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "projection checks: 0/1 ok\n")
+        assert err == "1 projection check(s) failed\n"
 
     def test_max_dim_below_two_exits_three(self, capsys):
         code, out, err = run(capsys, ["verify-theory", "--pairs", "2", "--max-dim", "1"])

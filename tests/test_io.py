@@ -141,6 +141,26 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_csv(path, BASIC_SCHEMA)
 
+    @pytest.mark.parametrize("content", [b"", codecs.BOM_UTF8])
+    def test_empty_file(self, tmp_path, content):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        for block in BLOCKS:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
+                with pytest.raises(SchemaMismatch, match="file is empty"):
+                    load_csv(str(path), BASIC_SCHEMA)
+        # the row-wise reader keeps a byte-order mark as a header cell
+        if not content:
+            want = outcome(lambda: rowwise_load_csv(str(path), BASIC_SCHEMA))
+            assert outcome(lambda: _streamed(str(path), BASIC_SCHEMA)) == want
+
+    def test_schema_column_named_twice(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,sex,a,y\n1,0,Male,2,1\n")
+        with pytest.raises(SchemaMismatch, match="column 'a' appears more than once"):
+            load_csv(path, BASIC_SCHEMA)
+        want = outcome(lambda: rowwise_load_csv(path, BASIC_SCHEMA))
+        assert outcome(lambda: _streamed(path, BASIC_SCHEMA)) == want
+
     def test_prediction_column(self, tmp_path):
         path = write_csv(tmp_path, "a,b,sex,y,p\n1,0,Male,1,2\n2,1,Female,2,1\n")
         schema = DatasetSchema(
@@ -663,6 +683,19 @@ class TestStreamingReaderMatchesRowwiseReader:
                 with pytest.raises(ParseError) as err:
                     read_int_column(path, "y")
             assert str(err.value) == "line 3, column '': expected 1 cells, found 0"
+
+    @pytest.mark.parametrize("note", ["b", '"b"'])
+    def test_integer_label_zero(self, tmp_path, note):
+        # a quoted cell sends the reader to csv.reader, a quote-free file
+        # takes the split path
+        text = self.NOTE_HEADER + f"0.5,a,1,2,1,Male\n1.5,{note},0,1,2,Female\n"
+        check_text_against_oracle(text, self.NOTE_SCHEMA)
+        path = write_csv(tmp_path, text)
+        for block in BLOCKS:
+            with mock.patch.object(io_module, "BLOCK_BYTES", block):
+                with pytest.raises(ParseError) as err:
+                    load_csv(path, self.NOTE_SCHEMA)
+            assert str(err.value).startswith("line 3, column 'y': integer labels must be >= 1")
 
     def test_nul_byte(self, tmp_path):
         # csv.reader rejects NUL on Python 3.10 and reads it as a
