@@ -327,7 +327,7 @@ def approx_set_distance(
     params = params or ApproxParams()
     m2 = params.m2 if params.m2 is not None else default_m2(dataset.n)
 
-    def trials(rows: np.ndarray) -> float:
+    def trials(rows: np.ndarray, partition: GroupPartition) -> float:
         scan = _WindowScan(rows, partition, m2)
         # squared throughout: sqrt is monotone, so taking it once at the
         # end gives the same bits as taking it per anchor

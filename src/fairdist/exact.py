@@ -26,14 +26,17 @@ pair distance any of them returns comes from one numpy kernel,
   so the value is the baseline's. It is the one route that imports
   scipy.
 
-Each route is a function of the two groups' rows that returns the
-distance. One frame, `distance_frame`, builds every `DistanceResult`,
-exact and approx alike: it starts the timer, builds every row's [value,
+One frame, `distance_frame`, builds every `DistanceResult`, exact and
+approx alike: it starts the timer, builds every row's [value,
 features...] once with `augmented_points`, which rejects an empty group,
-hands the rows to a compute function and builds the result from its
-value. The exact routes get `rows[partition.group0]` and
-`rows[partition.group1]`. A result's `elapsed_ns` is the whole call's
-wall time, scipy's first import included.
+hands the rows and the partition to a compute function,
+`compute(rows, partition)`, and builds the result from its value. The
+exact routes are such compute functions. Each gathers what it needs
+straight from the frame's rows by the partition's row indices: brute
+force and the scan take each group in the pair kernel's column layout
+with `_columns`, one copy per group, and the tree takes each group's
+rows as its k-d trees need them. A result's `elapsed_ns` is the whole
+call's wall time, scipy's first import included.
 """
 
 from __future__ import annotations
@@ -97,11 +100,12 @@ def distance_frame(
     dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, compute, **approx
 ) -> DistanceResult:
     """The one frame every `DistanceResult` comes from: the value that
-    `compute` takes from every row's [value, features...], timed over the
-    whole call. `approx` holds an approx result's m1, m2 and seed, and is
-    empty for an exact one."""
+    `compute(rows, partition)` takes from every row's [value,
+    features...] and the partition, timed over the whole call. `approx`
+    holds an approx result's m1, m2 and seed, and is empty for an exact
+    one."""
     start = time.perf_counter_ns()
-    value = compute(augmented_points(dataset, partition, source))
+    value = compute(augmented_points(dataset, partition, source), partition)
     elapsed = time.perf_counter_ns() - start
     method = "approx" if approx else "exact"
     return DistanceResult(
@@ -180,25 +184,23 @@ def _nearest(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.sqrt(nearest)
 
 
-def _exact(
-    dataset: LabeledDataset, partition: GroupPartition, source: LabelSource, route
-) -> DistanceResult:
-    """The exact result whose value `route` computes from the rows of
-    group 0 and group 1."""
-
-    def groups(rows: np.ndarray) -> float:
-        return route(rows[partition.group0], rows[partition.group1])
-
-    return distance_frame(dataset, partition, source, groups)
+def _columns(rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The rows at `indices` as the columns of a C-contiguous (d+1, k)
+    array, the pair kernel's layout, in one copy. Both axes are indexed
+    at once, so numpy gathers straight into the result;
+    `rows.T.take(indices, axis=1)` would first copy all of `rows` into
+    column order."""
+    return rows[indices, np.arange(rows.shape[1])[:, None]]
 
 
-def _brute_force(z0: np.ndarray, z1: np.ndarray) -> float:
+def _brute_force(rows: np.ndarray, partition: GroupPartition) -> float:
     """The largest nearest-row distance of either group, from one
     two-sided pass of the pair kernel over every pair. The square root,
     monotone and correctly rounded, is taken once, of the largest
     squared minimum: the same bits as the largest minimum."""
-    min0, min1 = np.full(len(z0), np.inf), np.full(len(z1), np.inf)
-    _PairKernel().lower(min0, np.ascontiguousarray(z0.T), np.ascontiguousarray(z1.T), min1)
+    min0, min1 = (np.full(size, np.inf) for size in partition.sizes)
+    z0, z1 = (_columns(rows, group) for group in (partition.group0, partition.group1))
+    _PairKernel().lower(min0, z0, z1, min1)
     return math.sqrt(max(min0.max(), min1.max()))
 
 
@@ -211,7 +213,7 @@ def exact_set_distance(
     Cost is O(n0*n1) point-distance evaluations; both directed terms are
     accumulated from one streamed pass over the pair kernel's blocks.
     """
-    return _exact(dataset, partition, source, _brute_force)
+    return distance_frame(dataset, partition, source, _brute_force)
 
 
 def _tree_nearest(za: np.ndarray, zb: np.ndarray, cKDTree) -> np.ndarray:
@@ -234,10 +236,11 @@ def _tree_nearest(za: np.ndarray, zb: np.ndarray, cKDTree) -> np.ndarray:
     return nearest
 
 
-def _tree(z0: np.ndarray, z1: np.ndarray) -> float:
+def _tree(rows: np.ndarray, partition: GroupPartition) -> float:
     """The label-stratified tree queries, then the pair kernel on the
     anchors that tie the largest tree distance."""
     cKDTree = _scipy_spatial()
+    z0, z1 = rows[partition.group0], rows[partition.group1]
     near0 = _tree_nearest(z0, z1, cKDTree)
     near1 = _tree_nearest(z1, z0, cKDTree)
     cutoff = max(near0.max(), near1.max()) * (1.0 - _TIE_RTOL)
@@ -245,7 +248,7 @@ def _tree(z0: np.ndarray, z1: np.ndarray) -> float:
     # the pair kernel rounds a pair alike from either side; when the ties
     # would cost more pairs than brute force, it does brute force
     if ties0.sum() * len(z1) + len(z0) * ties1.sum() >= len(z0) * len(z1):
-        return _brute_force(z0, z1)
+        return _brute_force(rows, partition)
     min0, min1 = _nearest(z0[ties0], z1), _nearest(z1[ties1], z0)
     return float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
 
@@ -266,7 +269,7 @@ def tree_set_distance(
     which it reaches when most anchors tie, as when both groups hold the
     same points.
     """
-    return _exact(dataset, partition, source, _tree)
+    return distance_frame(dataset, partition, source, _tree)
 
 
 # The early-break route's constants. The two caps that send a call to
@@ -352,17 +355,18 @@ class _EarlyBreak:
                 self.largest = nearest[i]
         return pairs
 
-    def run(self, z0: np.ndarray, z1: np.ndarray) -> float | None:
-        """The largest squared nearest-opponent distance of the rows of
-        z0 and z1, or None when the scan gives up."""
+    def run(self, rows: np.ndarray, partition: GroupPartition) -> float | None:
+        """The largest squared nearest-opponent distance between the
+        partition's two groups of rows, or None when the scan gives up."""
         # the groups take unrelated orders, so that groups listing the
         # same rows in the same order do not meet them in lockstep
         rng = np.random.default_rng(0)
-        points = [np.ascontiguousarray(z[rng.permutation(len(z))].T) for z in (z0, z1)]
+        groups = (partition.group0, partition.group1)
+        points = [_columns(rows, g[rng.permutation(len(g))]) for g in groups]
         taken = [0, 0]
         size = _FIRST_BATCH
         pairs = anchors = 0
-        while taken[0] < len(z0) or taken[1] < len(z1):
+        while taken[0] < points[0].shape[1] or taken[1] < points[1].shape[1]:
             for side in (0, 1):
                 batch = points[side][:, taken[side] : taken[side] + size]
                 if batch.shape[1] == 0:
@@ -380,10 +384,10 @@ class _EarlyBreak:
         return self.largest
 
 
-def _early_break(z0: np.ndarray, z1: np.ndarray) -> float:
+def _early_break(rows: np.ndarray, partition: GroupPartition) -> float:
     """The early-break scan, or the tree on the same rows when it gives up."""
-    largest = _EarlyBreak().run(z0, z1)
-    return _tree(z0, z1) if largest is None else math.sqrt(largest)
+    largest = _EarlyBreak().run(rows, partition)
+    return _tree(rows, partition) if largest is None else math.sqrt(largest)
 
 
 def early_break_set_distance(
@@ -401,4 +405,4 @@ def early_break_set_distance(
     `elapsed_ns` covers both, scipy's first import included. Memory
     stays O(n).
     """
-    return _exact(dataset, partition, source, _early_break)
+    return distance_frame(dataset, partition, source, _early_break)

@@ -224,7 +224,8 @@ def _rowwise_label(cell, line, column, label_values) -> int:
 
 def _rowwise_rows(path):
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        # "utf-8-sig" drops a leading byte-order mark, as load_csv does
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

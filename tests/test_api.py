@@ -1,6 +1,7 @@
 import importlib
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -12,7 +13,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 def readme_public_names() -> list[str]:
     """The backticked names in the bullets of the README's "Public API"
     section."""
-    text = open(README, encoding="utf-8").read()
+    text = Path(README).read_text(encoding="utf-8")
     section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.MULTILINE)
     return [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
@@ -36,7 +37,7 @@ def test_every_public_name_imports():
 def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
     # the README's Python block, run as-is on a data.csv with the columns
     # it names; the brute-force line prints True whatever the data
-    text = open(README, encoding="utf-8").read()
+    text = Path(README).read_text(encoding="utf-8")
     section = text.split("\n## Library quickstart\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     rng = np.random.default_rng(0)

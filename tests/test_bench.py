@@ -5,6 +5,7 @@ import pytest
 
 from fairdist import ApproxParams, approx_set_distance, partition_by_attribute
 from fairdist.bench import (
+    ComparisonRow,
     SynthSpec,
     pearson,
     relative_difference,
@@ -48,6 +49,18 @@ class TestSynthDataset:
             SynthSpec(n=10, seed=-1)
         with pytest.raises(InvalidArgument):
             synth_dataset(SynthSpec(n=10, group_fraction=0.01))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_x", 0, "n_x must be at least 1"),
+            ("n_c", 1, "n_c must be at least 2"),
+            ("cluster_separation", -0.1, "cluster_separation must be nonnegative"),
+        ],
+    )
+    def test_invalid_shape_fields(self, field, value, message):
+        with pytest.raises(InvalidArgument, match=message):
+            SynthSpec(n=10, **{field: value})
 
 
 class TestRunComparison:
@@ -117,6 +130,10 @@ class TestPearson:
         with pytest.raises(InvalidArgument):
             pearson(np.array([1.0]), np.array([2.0]))
 
+    def test_unequal_lengths(self):
+        with pytest.raises(InvalidArgument, match="equal length"):
+            pearson(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+
 
 class TestRelativeDifference:
     def test_plain_ratio(self):
@@ -139,6 +156,24 @@ class TestSummary:
         assert summary["rows_ok"] == 3
         assert -1.0 <= summary["pearson_r"] <= 1.0
         assert summary["mean_speedup"] > 0
+
+    def test_equal_exact_values_leave_no_correlation(self):
+        # a constant exact column makes the correlation undefined: the
+        # summary leaves it None and still reports the other fields
+        rows = [
+            ComparisonRow(
+                dataset_id=f"d{i}", n=4, n_x=1, n0=2, n1=2, label_source="labels",
+                m1=2, m2=2, seed=0, exact_value=0.5, approx_value=approx,
+                relative_difference=relative_difference(approx, 0.5),
+                exact_ns=100, approx_ns=50, status="ok",
+            )  # fmt: skip
+            for i, approx in enumerate((0.5, 0.75))
+        ]
+        summary = summarize(rows)
+        assert summary["rows_ok"] == 2
+        assert summary["pearson_r"] is None
+        assert summary["max_relative_difference"] == 0.5
+        assert summary["mean_speedup"] == 2.0
 
     def test_timing_roughly_linear_in_trials(self):
         # m1 25 vs 5 should cost about 5x, accepted within a factor of 2

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ class TestDist:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "nope" in err
+
+    def test_directory_as_input_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["dist", "--input", str(tmp_path), *SCHEMA6])
+        assert (code, out) == (2, "")
+        assert "cannot read" in err
+
+    def test_out_in_a_missing_directory_exits_two(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, ["dist", "--input", DIST6, *SCHEMA6, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert "cannot write" in err
+        assert not out_path.parent.exists()
 
     def test_empty_group_exits_three(self, capsys, tmp_path):
         path = tmp_path / "one_group.csv"
@@ -383,7 +396,7 @@ class TestGroupMetrics:
         want = run(capsys, ["group-metrics", "--input", GM12, *SCHEMA12[:2], *flags])
         path = GM12
         if bad_cell is not None:
-            lines = open(GM12).read().splitlines(keepends=True)
+            lines = Path(GM12).read_text().splitlines(keepends=True)
             lines[3] = bad_cell + lines[3][lines[3].index(","):]
             path = tmp_path / "bad_feature.csv"
             path.write_text("".join(lines))
@@ -543,7 +556,7 @@ class TestBench:
                 "--m1", "3", "--out", out_path, "--format", "csv"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        lines = open(out_path).read().splitlines()
+        lines = Path(out_path).read_text().splitlines()
         assert len(lines) == 6  # header + 5 rows (labels only)
         summary = json.loads(out)
         assert summary["rows"] == 5
@@ -615,7 +628,7 @@ class TestBench:
                 "--with-predictions", "--m1", "2", "--out", out_path]
         code, _, _ = run(capsys, argv)
         assert code == 0
-        rows = json.loads(open(out_path).read())
+        rows = json.loads(Path(out_path).read_text())
         assert len(rows) == 12
         for row in rows:
             assert row["approx_value"] >= row["exact_value"] - 1e-9
@@ -628,7 +641,7 @@ class TestVerifyTheory:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert "6/6 ok" in out  # 5 random pairs + the equal-norm right-angle pair
-        rows = json.loads(open(out_path).read())
+        rows = json.loads(Path(out_path).read_text())
         checks = [r for r in rows if r["kind"] == "projection_check"]
         bounds = [r for r in rows if r["kind"] == "success_bound"]
         assert all(c["sandwich_ok"] and c["mc_ok"] for c in checks)

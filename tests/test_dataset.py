@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairdist import LabeledDataset, joint_partition, partition_by_attribute
+from fairdist import GroupPartition, LabeledDataset, joint_partition, partition_by_attribute
 from fairdist.errors import DimensionError, InvalidArgument, UnsupportedAttributeArity
 
 from conftest import make_dataset
@@ -104,6 +104,21 @@ class TestValidation:
     def test_empty_dataset(self):
         with pytest.raises(InvalidArgument):
             LabeledDataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), np.array([], dtype=int))
+
+    def test_one_dimensional_columns(self):
+        with pytest.raises(DimensionError, match="features must be a 2-D matrix"):
+            LabeledDataset(np.zeros(2), np.zeros((2, 1), dtype=int), np.array([1, 1]))
+        with pytest.raises(DimensionError, match="sensitive must be a 2-D matrix"):
+            LabeledDataset(np.zeros((2, 1)), np.zeros(2, dtype=int), np.array([1, 1]))
+
+    def test_negative_sensitive_value(self):
+        with pytest.raises(InvalidArgument, match="nonnegative"):
+            make_dataset([[0.5], [0.5]], [0, -1], [1, 1])
+
+    def test_overlapping_groups(self):
+        # row 1 in both groups, so the indices do not partition the rows
+        with pytest.raises(InvalidArgument, match="partition the row indices exactly"):
+            GroupPartition(attr_indices=(0,), group0=np.array([0, 1]), group1=np.array([1]), n=2)
 
     @pytest.mark.parametrize("name", ["predictions", "predictions_flipped"])
     def test_prediction_vectors_checked(self, name):

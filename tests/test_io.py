@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,10 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_csv(path, BASIC_SCHEMA)
 
+    def test_schema_without_sensitive_column(self):
+        with pytest.raises(SchemaMismatch, match="at least one sensitive column"):
+            DatasetSchema(feature_columns=("a",), sensitive_columns=(), label_column="y")
+
     def test_unparsable_cell_location(self, tmp_path):
         path = write_csv(tmp_path, "a,b,sex,y\n1,0,Male,1\nx,1,Female,2\n")
         with pytest.raises(ParseError) as err:
@@ -149,10 +154,9 @@ class TestLoadCsv:
             with mock.patch.object(io_module, "BLOCK_BYTES", block):
                 with pytest.raises(SchemaMismatch, match="file is empty"):
                     load_csv(str(path), BASIC_SCHEMA)
-        # the row-wise reader keeps a byte-order mark as a header cell
-        if not content:
-            want = outcome(lambda: rowwise_load_csv(str(path), BASIC_SCHEMA))
-            assert outcome(lambda: _streamed(str(path), BASIC_SCHEMA)) == want
+        # the row-wise reader drops a byte-order mark as load_csv does
+        want = outcome(lambda: rowwise_load_csv(str(path), BASIC_SCHEMA))
+        assert outcome(lambda: _streamed(str(path), BASIC_SCHEMA)) == want
 
     def test_schema_column_named_twice(self, tmp_path):
         path = write_csv(tmp_path, "a,b,sex,a,y\n1,0,Male,2,1\n")
@@ -254,6 +258,8 @@ class TestLoadCsv:
                     want = outcome(lambda: _streamed(str(plain), schema))
                     assert isinstance(want, list)
                     assert outcome(lambda: _streamed(str(marked), schema)) == want
+            # and the row-wise readers read the marked file alike
+            check_text_against_oracle("\ufeff" + text, schema)
 
     def test_bytes_that_are_not_utf8_after_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -324,7 +330,7 @@ class TestWriteReport:
     def test_distance_result_keys(self, tmp_path):
         path = str(tmp_path / "out.json")
         write_report(self.make_result().to_record(), path, "json")
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith(
             '{"value": 0.33333333333333331, "method": "approx", "label_source": "labels", '
             '"seed": 42, "m1": 25, "m2": 6, "elapsed_ns": 1234}'
@@ -335,12 +341,12 @@ class TestWriteReport:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_report(record, p1, "json")
         write_report(record, p2, "json")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_csv_single_record_shape(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_report(self.make_result().to_record(), path, "csv")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "value,method,label_source,seed,m1,m2,elapsed_ns"
 
@@ -355,6 +361,14 @@ class TestWriteReport:
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgument):
             render_report({"v": math.nan}, "json")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidArgument, match="unknown report format 'xml'"):
+            render_report({"v": 1}, "xml")
+
+    def test_unserializable_value_rejected(self):
+        with pytest.raises(InvalidArgument, match="cannot serialize value of type set"):
+            render_report({"a": {1}}, "json")
 
     def test_record_list_to_csv(self):
         rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": math.inf}]

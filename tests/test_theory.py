@@ -74,6 +74,12 @@ class TestProjectionDominanceBounds:
         with pytest.raises(InvalidArgument):
             projection_dominance_bounds(np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
 
+    def test_shapes_rejected(self):
+        with pytest.raises(InvalidArgument, match="equal dimension"):
+            projection_dominance_bounds(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidArgument, match="dimension >= 2"):
+            projection_dominance_bounds(np.array([1.0]), np.array([2.0]))
+
 
 class TestMonteCarlo:
     def test_identical_vectors_always_dominate(self):
@@ -208,6 +214,24 @@ class TestSuggestM2:
             suggest_m2(10_000, 3, 25, 1e4)
         assert suggest_m2(10_000, 3, 10_000, 1e4) == 100
 
+    @pytest.mark.parametrize(
+        "k, want",
+        [
+            # the closed form's ceiling, 31622776601683792, lies above m2
+            (1, 31622776601683662),
+            # the closed form's ceiling, 21544346900318780, lies below m2
+            (2, 21544346900318867),
+        ],
+    )
+    def test_float_error_nudged_away(self, k, want):
+        m2 = suggest_m2(10, k, 1, 16.0)
+        assert m2 == want
+        assert failure_exponent(10, k, 1, m2) >= 16.0 > failure_exponent(10, k, 1, m2 - 1)
+
+    def test_positive_k_required(self):
+        with pytest.raises(InvalidArgument, match="positive integers"):
+            suggest_m2(10_000, 0, 25, 1.0)
+
 
 class TestScaledDensity:
     def test_uniform_grid_sanity(self):
@@ -222,6 +246,10 @@ class TestScaledDensity:
             estimate_scaled_density(np.zeros((2, 2)), d=0.0)
         with pytest.raises(InvalidArgument):
             estimate_scaled_density(np.zeros((2, 2)), d=1.0, radii=np.array([0.5, 0.0]))
+
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(InvalidArgument, match="2-D matrix"):
+            estimate_scaled_density(np.zeros(4), d=1.0)
 
     def test_matches_dense_formula(self, rng):
         # up to n = 1,100 rows, so the larger clouds span several row
