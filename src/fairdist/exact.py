@@ -34,9 +34,11 @@ hands the rows and the partition to a compute function,
 exact routes are such compute functions. Each gathers what it needs
 straight from the frame's rows by the partition's row indices: brute
 force and the scan take each group in the pair kernel's column layout
-with `_columns`, one copy per group, and the tree takes each group's
-rows as its k-d trees need them. A result's `elapsed_ns` is the whole
-call's wall time, scipy's first import included.
+with `_columns`, one copy per group; the tree takes each group's rows
+as its k-d trees need them, and its tie recompute gathers the tied
+anchors and their opponents with `_columns` too. A result's
+`elapsed_ns` is the whole call's wall time, scipy's first import
+included.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ class DistanceResult:
     elapsed_ns: int
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidArgument("distance cannot be negative")
+        # written so that NaN fails it too
+        if not self.value >= 0:
+            raise InvalidArgument("distance must be a nonnegative number")
+        if self.method not in ("exact", "approx"):
+            raise InvalidArgument("method must be 'exact' or 'approx'")
         has_params = None not in (self.m1, self.m2, self.seed)
         if self.method == "approx" and not has_params:
             raise InvalidArgument("approx results must carry m1, m2 and seed")
@@ -176,14 +181,6 @@ class _PairKernel:
                     np.minimum(out, block.min(axis=0), out=out)
 
 
-def _nearest(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Each row of za's distance to its nearest row of zb, by the pair kernel."""
-    nearest = np.full(len(za), np.inf)
-    if len(za):  # with no anchors, spare the transpose of zb
-        _PairKernel().lower(nearest, np.ascontiguousarray(za.T), np.ascontiguousarray(zb.T))
-    return np.sqrt(nearest)
-
-
 def _columns(rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The rows at `indices` as the columns of a C-contiguous (d+1, k)
     array, the pair kernel's layout, in one copy. Both axes are indexed
@@ -240,7 +237,8 @@ def _tree(rows: np.ndarray, partition: GroupPartition) -> float:
     """The label-stratified tree queries, then the pair kernel on the
     anchors that tie the largest tree distance."""
     cKDTree = _scipy_spatial()
-    z0, z1 = rows[partition.group0], rows[partition.group1]
+    g0, g1 = partition.group0, partition.group1
+    z0, z1 = rows[g0], rows[g1]
     near0 = _tree_nearest(z0, z1, cKDTree)
     near1 = _tree_nearest(z1, z0, cKDTree)
     cutoff = max(near0.max(), near1.max()) * (1.0 - _TIE_RTOL)
@@ -249,8 +247,11 @@ def _tree(rows: np.ndarray, partition: GroupPartition) -> float:
     # would cost more pairs than brute force, it does brute force
     if ties0.sum() * len(z1) + len(z0) * ties1.sum() >= len(z0) * len(z1):
         return _brute_force(rows, partition)
-    min0, min1 = _nearest(z0[ties0], z1), _nearest(z1[ties1], z0)
-    return float(max(min0.max(initial=0.0), min1.max(initial=0.0)))
+    kernel = _PairKernel()
+    min0, min1 = np.full(ties0.sum(), np.inf), np.full(ties1.sum(), np.inf)
+    kernel.lower(min0, _columns(rows, g0[ties0]), _columns(rows, g1))
+    kernel.lower(min1, _columns(rows, g1[ties1]), _columns(rows, g0))
+    return math.sqrt(max(min0.max(initial=0.0), min1.max(initial=0.0)))
 
 
 def tree_set_distance(
@@ -272,15 +273,14 @@ def tree_set_distance(
     return distance_frame(dataset, partition, source, _tree)
 
 
-# The early-break route's constants. The two caps that send a call to
-# the tree sit well above what separated groups reach; CHANGES.md
-# records the inputs measured on each side of them
+# The early-break route's constants. The one cap that sends a call to
+# the tree sits well above what separated groups reach; CHANGES.md
+# records the inputs measured on each side of it
 _FIRST_BATCH = 32  # anchors in each direction's first batch; doubles...
 _LAST_BATCH = 8192  # ...up to this
 _FIRST_SPAN = 8  # opponents a batch scans first; the scanned prefix doubles
 _FAR_BUDGET = 4096  # opponents an anchor scans before it counts as far
-_FAR_CAP = 1024  # far anchors scanned on before the call goes to the tree
-_MEAN_CAP = 1024  # mean opponents scanned per anchor before it does,
+_MEAN_CAP = 1024  # mean opponents scanned per anchor before the tree takes over,
 _COUNTED_BATCH = 4 * _FIRST_BATCH  # counted over batches of this size on
 
 
@@ -301,17 +301,17 @@ class _EarlyBreak:
 
     The maximum comes only from anchors scanned in full, so it is the
     largest squared nearest distance bit for bit; the order changes only
-    how many pairs are evaluated. The scan gives up (returns None) when
-    more than _FAR_CAP anchors are far, or when, after a round of one
-    batch per direction, the batches of _COUNTED_BATCH anchors or more
-    have scanned more than _MEAN_CAP opponents per anchor on average
-    before their far anchors went on. The smaller first batches are not
-    counted: they scan long because the maximum still rises from 0."""
+    how many pairs are evaluated. The scan gives up (returns None) on one
+    rule: when, after a round of one batch per direction, the batches of
+    _COUNTED_BATCH anchors or more have scanned more than _MEAN_CAP
+    opponents per anchor on average before their far anchors went on.
+    The smaller first batches are not counted: they scan long because the
+    maximum still rises from 0. However many anchors are far, the scan
+    finishes them, each over the opponents it has not yet seen."""
 
     def __init__(self):
         self.kernel = _PairKernel()
         self.largest = 0.0
-        self.far = 0
 
     def _scan(
         self, nearest: np.ndarray, anchors: np.ndarray, opponents: np.ndarray, done: int, limit: int
@@ -333,23 +333,18 @@ class _EarlyBreak:
             done = stop
         return active, done, pairs
 
-    def _batch(self, anchors: np.ndarray, opponents: np.ndarray) -> int | None:
+    def _batch(self, anchors: np.ndarray, opponents: np.ndarray) -> int:
         """Settle one batch of anchors; returns the number of pairs its
-        scan evaluated before the far anchors were finished, or None when
-        too many anchors are far."""
+        scan evaluated before the far anchors were finished."""
         n = opponents.shape[1]
         nearest = np.full(anchors.shape[1], np.inf)
         active, done, pairs = self._scan(nearest, anchors, opponents, 0, min(n, _FAR_BUDGET))
-        if done == n:
-            self.largest = max(self.largest, nearest[active].max(initial=0.0))
-            return pairs
         for i in active[np.argsort(-nearest[active], kind="stable")]:
             if nearest[i] <= self.largest:
                 continue
-            self.far += 1
-            if self.far > _FAR_CAP:
-                return None
-            # an anchor still outside after every opponent raises the maximum
+            # an anchor still outside after every opponent raises the
+            # maximum; when the budget covered every opponent, the first
+            # one does so at once and the rest are within it
             left, _, _ = self._scan(nearest[i : i + 1], anchors[:, i : i + 1], opponents, done, n)
             if len(left):
                 self.largest = nearest[i]
@@ -372,8 +367,6 @@ class _EarlyBreak:
                 if batch.shape[1] == 0:
                     continue
                 scanned = self._batch(batch, points[1 - side])
-                if scanned is None:
-                    return None
                 taken[side] += batch.shape[1]
                 if size >= _COUNTED_BATCH:
                     pairs += scanned

@@ -170,6 +170,12 @@ class TestExactSetDistance:
             )
         with pytest.raises(InvalidArgument):
             DistanceResult(value=-0.5, method="exact", label_source=TRUE, elapsed_ns=1)
+        with pytest.raises(InvalidArgument):
+            DistanceResult(value=float("nan"), method="exact", label_source=TRUE, elapsed_ns=1)
+        with pytest.raises(InvalidArgument):
+            DistanceResult(value=1.0, method="tree", label_source=TRUE, elapsed_ns=1, m1=3)
+        with pytest.raises(InvalidArgument):
+            DistanceResult(value=1.0, method="tree", label_source=TRUE, elapsed_ns=1)
 
 
 def _partition(ds):
@@ -400,8 +406,6 @@ class TestPairKernel:
             _, nearest, theirs = _kernel_minima(anchors, opponents)
             assert (len(nearest), len(theirs)) == (len(anchors), len(opponents))
             assert np.isinf(nearest).all() and np.isinf(theirs).all()
-        assert len(exact_module._nearest(points[:0], points)) == 0
-        assert np.isinf(exact_module._nearest(points, points[:0])).all()
 
 
 # The early-break route's constants set so that each of its endings is
@@ -414,22 +418,25 @@ SCAN_PATHS = {
     "far finish": FAR_FINISH,
     # the first round already scans more than -1 opponents per anchor
     "tree": {"_FIRST_BATCH": 2, "_COUNTED_BATCH": 2, "_MEAN_CAP": -1},
-    # the first far anchor is one more than the cap allows
-    "far cap": {**FAR_FINISH, "_FAR_CAP": 0},
 }
 
 
 @contextmanager
 def _recorded(path):
-    """The scans and tree calls of the early-break calls made inside it,
-    with the constants of SCAN_PATHS[path]."""
-    record = SimpleNamespace(scans=[], tree_calls=0)
+    """The scans, far finishes and tree calls of the early-break calls
+    made inside it, with the constants of SCAN_PATHS[path]. A far finish
+    is a scan that goes on from the far budget to the last opponent."""
+    record = SimpleNamespace(scans=[], far=0, tree_calls=0)
     tree = exact_module._tree
 
     class Scan(exact_module._EarlyBreak):
         def __init__(self):
             super().__init__()
             record.scans.append(self)
+
+        def _scan(self, nearest, anchors, opponents, done, limit):
+            record.far += 0 < done < limit
+            return super()._scan(nearest, anchors, opponents, done, limit)
 
     def counted_tree(*args):
         record.tree_calls += 1
@@ -462,9 +469,25 @@ class TestEarlyBreakSetDistance:
         with _recorded(path) as recorded:
             got = early_break_set_distance(ds, part, TRUE)
         assert _hex_of(got) == _hex_of(exact_set_distance(ds, part, TRUE))
-        (scan,) = recorded.scans
-        assert recorded.tree_calls == (path in ("tree", "far cap"))
-        assert (scan.far > 0) == (path in ("far finish", "far cap"))
+        assert len(recorded.scans) == 1
+        assert recorded.tree_calls == (path == "tree")
+        assert (recorded.far > 0) == (path == "far finish")
+
+    def test_many_far_anchors_finish_the_scan(self, rng):
+        # uniform groups on one feature: within the far budget of 4 almost
+        # no anchor meets an opponent within the maximum, so well over
+        # 1024 of the 2,000 are far, and the scan finishes every one of
+        # them without the tree
+        n = 2000
+        sensitive, labels = rng.integers(0, 2, size=n), rng.integers(1, 3, size=n)
+        ds = make_dataset(rng.uniform(size=(n, 1)), sensitive, labels)
+        part = _partition(ds)
+        with _recorded("far finish") as recorded, mock.patch.object(exact_module, "_MEAN_CAP", n):
+            got = early_break_set_distance(ds, part, TRUE)
+        assert recorded.tree_calls == 0
+        assert recorded.far > 1024
+        assert _hex_of(got) == _hex_of(exact_set_distance(ds, part, TRUE))
+        assert _hex_of(got) == _hex_of(naive_set_distance_of(ds, part, TRUE))
 
     def test_criterion_sweeps_hex_equal(self):
         # the datasets of acceptance criteria 1 and 2, on both sources
@@ -479,8 +502,9 @@ class TestEarlyBreakSetDistance:
         # 1 MiB, the reordered points and one batch's minima O(n)
         ds = random_grouped_dataset(rng, n_lo=20_000, n_hi=20_000, nx_hi=3)
         part = _partition(ds)
-        caps = {"_FAR_CAP": ds.n, "_MEAN_CAP": ds.n}
-        with _recorded("early finish") as recorded, mock.patch.multiple(exact_module, **caps):
+        with _recorded("early finish") as recorded, mock.patch.object(
+            exact_module, "_MEAN_CAP", ds.n
+        ):
             tracemalloc.start()
             try:
                 early_break_set_distance(ds, part, TRUE)
@@ -503,8 +527,9 @@ class TestEarlyBreakSetDistance:
         labels, predictions = rng.integers(1, 3, size=(2, n))
         ds = make_dataset(rng.uniform(size=(n, d)), sensitive, labels, predictions)
         part = _partition(ds)
-        caps = {"_FAR_CAP": n, "_MEAN_CAP": n}
-        with _recorded("early finish") as recorded, mock.patch.multiple(exact_module, **caps):
+        with _recorded("early finish") as recorded, mock.patch.object(
+            exact_module, "_MEAN_CAP", n
+        ):
             tracemalloc.start()
             try:
                 route(ds, part, TRUE)
